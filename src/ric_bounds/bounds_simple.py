@@ -76,8 +76,9 @@ class BoundResult:
     """A computed bound value together with how it was obtained.
 
     ``params`` carries the achieving (c3, gamma, nu) for the lifted kinds
-    and is absent for the closed-form kinds.  ``evaluations`` counts inner
-    objective evaluations (0 for closed forms).
+    and is absent for the closed-form kinds.  ``evaluations`` counts the
+    inner objective evaluations run by this call (0 for closed forms);
+    inner solves reused from a shared map are not counted again.
     """
 
     kind: str

@@ -15,18 +15,17 @@ also exit 2), 3 optimizer non-convergence or failed sweep rows (values
 are still printed).
 
 All output is deterministic for identical invocations: floats render
-with %.6g, nothing timestamps, and parallel sweep evaluation (capped by
-the RIC_BOUNDS_THREADS environment variable) buffers rows and emits
-them in grid order.
+with %.6g, nothing timestamps, and sweep cells are computed one after
+another in grid order.  The two lifted solves at one shape (one sweep
+(alpha, rho) pair, or one empirical run) share their inner solves
+through one map, which a sweep clears before the next shape.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .bounds_simple import (
@@ -44,8 +43,6 @@ from .empirical import empirical_ric
 from .optimizer import OptimizerConfig, optimize_lower, optimize_upper
 from .reference_tables import reference_for_kind
 
-_LIFTED = (KIND_UPPER_LIFTED, KIND_LOWER_LIFTED)
-
 CSV_HEADER = "alpha,rho,kind,value,c3,gamma,nu,converged,reference,delta"
 
 DEFAULT_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -58,15 +55,6 @@ def _fmt(x: float | None) -> str:
     if x == 0.0:  # normalize -0.0
         x = 0.0
     return "%.6g" % x
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("RIC_BOUNDS_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(value, 1)
 
 
 def _shape_from_args(args) -> ProblemShape:
@@ -86,14 +74,15 @@ def _config_from_args(args) -> OptimizerConfig:
     )
 
 
-def _compute_bound(kind: str, shape: ProblemShape, config: OptimizerConfig) -> BoundResult:
+def _compute_bound(kind: str, shape: ProblemShape, config: OptimizerConfig,
+                   inner: dict | None = None) -> BoundResult:
     if kind == KIND_UPPER_SIMPLE:
         return simple_upper(shape)
     if kind == KIND_LOWER_SIMPLE:
         return simple_lower(shape)
     if kind == KIND_UPPER_LIFTED:
-        return optimize_upper(shape, config)
-    return optimize_lower(shape, config)
+        return optimize_upper(shape, config, inner=inner)
+    return optimize_lower(shape, config, inner=inner)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -190,11 +179,12 @@ def _row_csv(row: dict) -> str:
     )
 
 
-def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) -> dict:
+def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig,
+                inner: dict) -> dict:
     reference = reference_for_kind(kind, alpha, rho)
     try:
         shape = ProblemShape.from_rho(alpha, rho)
-        result = _compute_bound(kind, shape, config)
+        result = _compute_bound(kind, shape, config, inner)
     except ValueError as exc:
         return _row_dict(alpha, rho, kind, None, reference, error=str(exc))
     return _row_dict(alpha, rho, kind, result, reference)
@@ -203,14 +193,12 @@ def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) ->
 def _cmd_sweep(args, out) -> int:
     config = _config_from_args(args)
     kinds = [k for k in BOUND_KINDS if k in set(args.kinds)]
-    cells = [(a, r, k) for a in args.alphas for r in args.rhos for k in kinds]
-
-    threads = min(_thread_cap(), max(len(cells), 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(*c, config), cells))
-    else:
-        rows = [_sweep_cell(*c, config) for c in cells]
+    rows = []
+    inner: dict = {}  # inner solves shared by the lifted kinds of one shape
+    for a in args.alphas:
+        for r in args.rhos:
+            inner.clear()
+            rows += [_sweep_cell(a, r, k, config, inner) for k in kinds]
 
     failed = [r for r in rows if r.get("error") is not None or not r["converged"]]
     if args.format == "json":
@@ -243,11 +231,12 @@ def _cmd_empirical(args, out) -> int:
     config = _config_from_args(args)
     uric, lric = empirical_ric(m, n, k, args.trials, args.support_budget, args.seed)
 
+    inner: dict = {}
     bounds = {
         KIND_UPPER_SIMPLE: simple_upper(shape),
-        KIND_UPPER_LIFTED: optimize_upper(shape, config),
+        KIND_UPPER_LIFTED: optimize_upper(shape, config, inner=inner),
         KIND_LOWER_SIMPLE: simple_lower(shape),
-        KIND_LOWER_LIFTED: optimize_lower(shape, config),
+        KIND_LOWER_LIFTED: optimize_lower(shape, config, inner=inner),
     }
     upper_ok = uric.mean <= bounds[KIND_UPPER_LIFTED].value + args.slack
     lower_ok = lric.mean >= bounds[KIND_LOWER_LIFTED].value - args.slack

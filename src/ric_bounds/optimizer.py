@@ -21,8 +21,16 @@ Two levels:
   itself, which is a removable singularity of the objective.
 
 Everything is deterministic: fixed grids, no randomized restarts, and
-ties between equal-valued optima resolve to the smallest c3.  Distinct
-solves share no state and may run concurrently.
+ties between equal-valued optima resolve to the smallest c3.
+
+Both families minimize the same J(c3, beta, .), so an upper and a lower
+solve at one shape can share inner solves: pass the same dict as
+``inner`` to both.  It maps (c3, beta, config) to the inner report, so
+a map reused at another beta or config only misses.  Because inner
+solves are deterministic, a shared map changes no value, parameter or
+flag; only ``BoundResult.evaluations`` drops, since it counts the
+evaluations run by that call.  The map grows with every solve; the
+caller decides how long to keep it.
 """
 
 from __future__ import annotations
@@ -102,63 +110,74 @@ def _nelder_mead(f, x0, step, tol, max_evals):
 
     Tracks the best point ever evaluated, so the reported value is the
     minimum over all evaluations regardless of simplex state, and never
-    spends more than max(max_evals, n + 1) evaluations.
+    spends more than max(max_evals, 3) evaluations.  Points are (u, v)
+    tuples.  The simplex is kept as three (point, value) pairs, sorted
+    stably by value before each step, so ties keep their earlier order.
     """
-    n = len(x0)
-    budget = max(max_evals, n + 1)  # the initial simplex is mandatory
-    pts = [list(x0)]
-    for i in range(n):
-        p = list(x0)
-        p[i] += step
-        pts.append(p)
-    vals = [f(p) for p in pts]
-    evals = n + 1
-    ib = min(range(n + 1), key=lambda i: (vals[i], i))
-    best_x, best_f = list(pts[ib]), vals[ib]
+    budget = max(max_evals, 3)  # the initial simplex is mandatory
+    u, v = x0
+    p0, p1, p2 = (u, v), (u + step, v), (u, v + step)
+    f0, f1, f2 = f(p0), f(p1), f(p2)
+    evals = 3
+    best_x, best_f = p0, f0
+    if f1 < best_f:
+        best_x, best_f = p1, f1
+    if f2 < best_f:
+        best_x, best_f = p2, f2
     while True:
-        order = sorted(range(n + 1), key=lambda i: (vals[i], i))
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        if vals[-1] - vals[0] < tol:
+        if f1 < f0:
+            p0, f0, p1, f1 = p1, f1, p0, f0
+        if f2 < f1:
+            p1, f1, p2, f2 = p2, f2, p1, f1
+            if f1 < f0:
+                p0, f0, p1, f1 = p1, f1, p0, f0
+        if f2 - f0 < tol:
             return best_x, best_f, evals, True
         if evals >= budget:
             return best_x, best_f, evals, False
 
-        centroid = [sum(p[i] for p in pts[:-1]) / n for i in range(n)]
-        xr = [centroid[i] + (centroid[i] - pts[-1][i]) for i in range(n)]
+        # 0 + a + b is how sum() adds the two best points, so the centroid
+        # rounds (signed zeros included) like the list-based reference
+        # simplex in tests/oracles.py.
+        cu = (0 + p0[0] + p1[0]) / 2
+        cv = (0 + p0[1] + p1[1]) / 2
+        xr = (cu + (cu - p2[0]), cv + (cv - p2[1]))
         fr = f(xr)
         evals += 1
         if fr < best_f:
-            best_x, best_f = list(xr), fr
-        if fr < vals[0]:
+            best_x, best_f = xr, fr
+        if fr < f0:
             if evals < budget:
-                xe = [centroid[i] + 2.0 * (centroid[i] - pts[-1][i]) for i in range(n)]
+                xe = (cu + 2.0 * (cu - p2[0]), cv + 2.0 * (cv - p2[1]))
                 fe = f(xe)
                 evals += 1
                 if fe < best_f:
-                    best_x, best_f = list(xe), fe
+                    best_x, best_f = xe, fe
                 if fe < fr:
                     xr, fr = xe, fe
-            pts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
+            p2, f2 = xr, fr
+        elif fr < f1:
+            p2, f2 = xr, fr
         elif evals < budget:
-            xc = [centroid[i] + 0.5 * (pts[-1][i] - centroid[i]) for i in range(n)]
+            xc = (cu + 0.5 * (p2[0] - cu), cv + 0.5 * (p2[1] - cv))
             fc = f(xc)
             evals += 1
             if fc < best_f:
-                best_x, best_f = list(xc), fc
-            if fc < vals[-1]:
-                pts[-1], vals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    if evals >= budget:
-                        break
-                    pts[i] = [0.5 * (pts[i][j] + pts[0][j]) for j in range(n)]
-                    vals[i] = f(pts[i])
+                best_x, best_f = xc, fc
+            if fc < f2:
+                p2, f2 = xc, fc
+            elif evals < budget:  # shrink toward p0, checking the budget per point
+                p1 = (0.5 * (p1[0] + p0[0]), 0.5 * (p1[1] + p0[1]))
+                f1 = f(p1)
+                evals += 1
+                if f1 < best_f:
+                    best_x, best_f = p1, f1
+                if evals < budget:
+                    p2 = (0.5 * (p2[0] + p0[0]), 0.5 * (p2[1] + p0[1]))
+                    f2 = f(p2)
                     evals += 1
-                    if vals[i] < best_f:
-                        best_x, best_f = list(pts[i]), vals[i]
+                    if f2 < best_f:
+                        best_x, best_f = p2, f2
 
 
 def _seed_grid(count: int) -> list[float]:
@@ -254,16 +273,26 @@ def _limit_params(beta: float) -> LiftedParams:
     return LiftedParams(c3=0.0, gamma=gamma, nu=nu_threshold * nu_threshold / (4.0 * gamma))
 
 
-def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> BoundResult:
+def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str,
+                    inner: dict | None) -> BoundResult:
     """Shared outer search; the lower family is maximized by negation."""
     upper = kind == KIND_UPPER_LIFTED
-    cache: dict[float, OptimReport] = {}
+    beta = shape.beta
+    solves: dict = {} if inner is None else inner
+    evaluations = 0  # run by this call; reports taken from ``inner`` cost nothing
+
+    def solve(c3: float) -> OptimReport:
+        nonlocal evaluations
+        key = (c3, beta, cfg)
+        report = solves.get(key)
+        if report is None:
+            report = minimize_inner(c3, beta, cfg)
+            solves[key] = report
+            evaluations += report.evaluations
+        return report
 
     def signed_objective(c3: float) -> float:
-        report = cache.get(c3)
-        if report is None:
-            report = minimize_inner(c3, shape.beta, cfg)
-            cache[c3] = report
+        report = solve(c3)
         if upper:
             return upper_value_from_inner(c3, shape, report.best_value)
         return -lower_value_from_inner(c3, shape, report.best_value)
@@ -299,8 +328,9 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
         params = _limit_params(shape.beta)
         converged = not (edge_fail and i_best == len(grid) - 1)
     else:
-        params = cache[best_c3].best_params
-        converged = cache[best_c3].converged and not edge_fail
+        report = solve(best_c3)
+        params = report.best_params
+        converged = report.converged and not edge_fail
 
     value = best_val if upper else -best_val
     return BoundResult(
@@ -308,15 +338,25 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
         value=value,
         params=params,
         converged=converged,
-        evaluations=sum(r.evaluations for r in cache.values()),
+        evaluations=evaluations,
     )
 
 
-def optimize_upper(shape: ProblemShape, config: OptimizerConfig | None = None) -> BoundResult:
-    """Best (smallest) lifted upper bound over c3; never above the simple bound."""
-    return _optimize_outer(shape, config or DEFAULT_CONFIG, KIND_UPPER_LIFTED)
+def optimize_upper(shape: ProblemShape, config: OptimizerConfig | None = None,
+                   inner: dict | None = None) -> BoundResult:
+    """Best (smallest) lifted upper bound over c3; never above the simple bound.
+
+    ``inner`` optionally shares inner solves with other outer solves; see
+    the module docstring.
+    """
+    return _optimize_outer(shape, config or DEFAULT_CONFIG, KIND_UPPER_LIFTED, inner)
 
 
-def optimize_lower(shape: ProblemShape, config: OptimizerConfig | None = None) -> BoundResult:
-    """Best (largest) lifted lower bound over c3; never below the simple bound."""
-    return _optimize_outer(shape, config or DEFAULT_CONFIG, KIND_LOWER_LIFTED)
+def optimize_lower(shape: ProblemShape, config: OptimizerConfig | None = None,
+                   inner: dict | None = None) -> BoundResult:
+    """Best (largest) lifted lower bound over c3; never below the simple bound.
+
+    ``inner`` optionally shares inner solves with other outer solves; see
+    the module docstring.
+    """
+    return _optimize_outer(shape, config or DEFAULT_CONFIG, KIND_LOWER_LIFTED, inner)

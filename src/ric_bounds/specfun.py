@@ -61,16 +61,36 @@ def _erf_series(x: float) -> float:
     return _TWO_OVER_SQRT_PI * x * math.exp(-x * x) * acc
 
 
-def _erfcx_trap(x: float) -> float:
-    """erfcx on [0.1, 10) via the corrected trapezoidal sum."""
-    x2 = x * x
-    acc = 1.0 / x2
-    for w, kh2 in _TRAP_TERMS:
-        acc += 2.0 * w / (x2 + kh2)
-    t = _TRAP_H * x / math.pi * acc
-    if x < _TRAP_NO_CORRECTION:
-        t -= 2.0 * math.exp(x2) / math.expm1(_TWO_PI_OVER_H * x)
-    return t
+def _compile_erfcx_trap():
+    """Build the mid-range kernel with the trapezoidal sum unrolled.
+
+    The generated body is
+
+        acc = 1/x2 + (2 w_1)/(x2 + (h)^2) + ... + (2 w_16)/(x2 + (16 h)^2)
+
+    summed left to right with every constant inlined as an exact float
+    literal (repr round-trips), which is the same sequence of roundings
+    as accumulating the terms in a loop: doubling w is exact, so
+    (2 w)/(...) is the loop's 2.0 * w / (...).  Unrolling only removes
+    the interpreter's loop and tuple-unpacking overhead.
+    """
+    terms = " + ".join(f"{2.0 * w!r} / (x2 + {kh2!r})" for w, kh2 in _TRAP_TERMS)
+    source = (
+        "def _erfcx_trap(x):\n"
+        '    """erfcx on [0.1, 10) via the corrected trapezoidal sum."""\n'
+        "    x2 = x * x\n"
+        f"    acc = 1.0 / x2 + {terms}\n"
+        f"    t = {_TRAP_H!r} * x / {math.pi!r} * acc\n"
+        f"    if x < {_TRAP_NO_CORRECTION!r}:\n"
+        f"        t -= 2.0 * exp(x2) / expm1({_TWO_PI_OVER_H!r} * x)\n"
+        "    return t\n"
+    )
+    namespace = {"__name__": __name__, "exp": math.exp, "expm1": math.expm1}
+    exec(compile(source, "<ric_bounds.specfun._erfcx_trap>", "exec"), namespace)
+    return namespace["_erfcx_trap"]
+
+
+_erfcx_trap = _compile_erfcx_trap()
 
 
 def _erfcx_asymptotic(x: float) -> float:

@@ -5,6 +5,10 @@ implementation path it validates: numerical quadrature instead of
 series/continued fractions, extended-precision arithmetic instead of
 doubles, bisection instead of Newton, Monte Carlo instead of closed
 forms, and power iteration instead of a dense eigensolver.
+
+The module ends with reference implementations: plain loop-and-list
+forms of two package kernels that the package runs in faster forms,
+against which those are checked bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import math
 
 import numpy as np
 from mpmath import mp
+
+from ric_bounds.specfun import _TRAP_H, _TRAP_NO_CORRECTION, _TRAP_TERMS, _TWO_PI_OVER_H
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
@@ -154,3 +160,83 @@ def gram_extremes_power_iteration(
         w /= norm
     lam_min = lam_max - float(w @ shifted @ w)
     return math.sqrt(max(lam_min, 0.0)), math.sqrt(max(lam_max, 0.0))
+
+
+# --- reference implementations ----------------------------------------------
+#
+# Unlike the oracles above, these follow the package's own algorithms step
+# for step, in their plain loop-and-list form.  The package runs faster
+# forms of them (an unrolled erfcx sum, a 2-D simplex on tuples) that must
+# round identically, so the tests compare the two bit for bit.
+
+
+def erfcx_trap_loop(x: float) -> float:
+    """erfcx on [0.1, 10): the corrected trapezoidal sum accumulated in a loop."""
+    x2 = x * x
+    acc = 1.0 / x2
+    for w, kh2 in _TRAP_TERMS:
+        acc += 2.0 * w / (x2 + kh2)
+    t = _TRAP_H * x / math.pi * acc
+    if x < _TRAP_NO_CORRECTION:
+        t -= 2.0 * math.exp(x2) / math.expm1(_TWO_PI_OVER_H * x)
+    return t
+
+
+def nelder_mead_lists(f, x0, step, tol, max_evals):
+    """n-D Nelder-Mead on lists, simplex re-sorted by (value, index) each step;
+    returns (x, fx, evals, converged) like ``optimizer._nelder_mead``."""
+    n = len(x0)
+    budget = max(max_evals, n + 1)  # the initial simplex is mandatory
+    pts = [list(x0)]
+    for i in range(n):
+        p = list(x0)
+        p[i] += step
+        pts.append(p)
+    vals = [f(p) for p in pts]
+    evals = n + 1
+    ib = min(range(n + 1), key=lambda i: (vals[i], i))
+    best_x, best_f = list(pts[ib]), vals[ib]
+    while True:
+        order = sorted(range(n + 1), key=lambda i: (vals[i], i))
+        pts = [pts[i] for i in order]
+        vals = [vals[i] for i in order]
+        if vals[-1] - vals[0] < tol:
+            return best_x, best_f, evals, True
+        if evals >= budget:
+            return best_x, best_f, evals, False
+
+        centroid = [sum(p[i] for p in pts[:-1]) / n for i in range(n)]
+        xr = [centroid[i] + (centroid[i] - pts[-1][i]) for i in range(n)]
+        fr = f(xr)
+        evals += 1
+        if fr < best_f:
+            best_x, best_f = list(xr), fr
+        if fr < vals[0]:
+            if evals < budget:
+                xe = [centroid[i] + 2.0 * (centroid[i] - pts[-1][i]) for i in range(n)]
+                fe = f(xe)
+                evals += 1
+                if fe < best_f:
+                    best_x, best_f = list(xe), fe
+                if fe < fr:
+                    xr, fr = xe, fe
+            pts[-1], vals[-1] = xr, fr
+        elif fr < vals[-2]:
+            pts[-1], vals[-1] = xr, fr
+        elif evals < budget:
+            xc = [centroid[i] + 0.5 * (pts[-1][i] - centroid[i]) for i in range(n)]
+            fc = f(xc)
+            evals += 1
+            if fc < best_f:
+                best_x, best_f = list(xc), fc
+            if fc < vals[-1]:
+                pts[-1], vals[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    if evals >= budget:
+                        break
+                    pts[i] = [0.5 * (pts[i][j] + pts[0][j]) for j in range(n)]
+                    vals[i] = f(pts[i])
+                    evals += 1
+                    if vals[i] < best_f:
+                        best_x, best_f = list(pts[i]), vals[i]

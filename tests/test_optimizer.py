@@ -1,6 +1,9 @@
 """Nested derivative-free search: inner solves, outer optimization,
 determinism, dominance, and local-optimality certificates."""
 
+import math
+import random
+
 import pytest
 
 from ric_bounds import (
@@ -10,11 +13,19 @@ from ric_bounds import (
     minimize_inner,
     optimize_lower,
     optimize_upper,
+    optimizer,
     simple_lower,
     simple_upper,
 )
 from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
 from ric_bounds.bounds_simple import KIND_LOWER_LIFTED, KIND_UPPER_LIFTED
+
+from oracles import nelder_mead_lists
+
+# The inner config of the criterion-10 sweep argv (--multistart 2 ...).
+CRITERION_10_CONFIG = OptimizerConfig(
+    multistart_grid=2, outer_tol=1e-3, inner_tol=1e-8, max_evals=4000
+)
 
 
 class TestConfig:
@@ -175,3 +186,92 @@ class TestEdgeBehavior:
             BoundResult(kind="sideways", value=1.5)
         with pytest.raises(ValueError):
             BoundResult(kind="upper-simple", value=0.5)  # upper bounds are >= 1
+
+
+class TestSimplexMatchesReference:
+    """The 2-D tuple simplex must round exactly like the list-based
+    reference in ``oracles``: same points, values, counts and flags."""
+
+    TEST_FUNCTIONS = {
+        "quadratic": lambda x: (x[0] - 1.0) ** 2 + 3.0 * (x[1] + 2.0) ** 2,
+        "rosenbrock": lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2,
+        # Plateaus (ties in the sort) and an infeasible wall, where
+        # contractions fail and the budget can run out mid-shrink.
+        "steps": lambda x: math.floor(x[0] ** 2 + x[1] ** 2),
+        "l1-rounded": lambda x: round(abs(x[0]) + abs(x[1]), 1),
+        "wall": lambda x: math.inf if x[0] > 0.7 else (x[0] - 3.0) ** 2 + x[1] ** 2,
+    }
+
+    @staticmethod
+    def _bits(result):
+        x, fx, evals, converged = result
+        return [float(c).hex() for c in x], float(fx).hex(), evals, converged
+
+    @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
+    def test_nelder_mead_on_test_functions(self, name):
+        f = self.TEST_FUNCTIONS[name]
+        for max_evals in range(1, 41):
+            for x0 in ((0.0, -0.0), (-2.5, 1.5), (1.75, -0.5), (3.0, 3.0)):
+                new = optimizer._nelder_mead(f, x0, 0.5, 1e-10, max_evals)
+                ref = nelder_mead_lists(f, x0, 0.5, 1e-10, max_evals)
+                assert self._bits(new) == self._bits(ref), (max_evals, x0)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OptimizerConfig(),
+            CRITERION_10_CONFIG,
+            # One start, so the 7- and 40-evaluation budgets bind inside
+            # the simplex and it stops after an expansion or contraction.
+            OptimizerConfig(multistart_grid=1, max_evals=7),
+            OptimizerConfig(multistart_grid=1, max_evals=40),
+        ],
+        ids=["default", "multistart-2", "max-evals-7", "max-evals-40"],
+    )
+    def test_minimize_inner(self, config, monkeypatch):
+        rng = random.Random(6)
+        points = [(1e-4, 1e-6), (256.0, 0.999999), (0.2577, 0.01), (4.0283, 0.03)]
+        points += [
+            (math.exp(rng.uniform(math.log(1e-4), math.log(256.0))),
+             math.exp(rng.uniform(math.log(1e-4), math.log(0.9))))
+            for _ in range(60)
+        ]
+        new = [minimize_inner(c3, beta, config) for c3, beta in points]
+        monkeypatch.setattr(optimizer, "_nelder_mead", nelder_mead_lists)
+        ref = [minimize_inner(c3, beta, config) for c3, beta in points]
+        for point, a, b in zip(points, new, ref):
+            assert a == b, point  # value, (gamma, nu), evaluations, converged, starts
+
+
+class TestSharedInnerSolves:
+    SHAPE = ProblemShape.from_rho(0.5, 0.3)
+
+    @staticmethod
+    def _outcome(result):
+        return result.value, result.params, result.converged
+
+    def test_shared_map_changes_no_result(self):
+        cfg = CRITERION_10_CONFIG
+        inner = {}
+        upper = optimize_upper(self.SHAPE, cfg, inner=inner)
+        lower = optimize_lower(self.SHAPE, cfg, inner=inner)
+        assert self._outcome(upper) == self._outcome(optimize_upper(self.SHAPE, cfg))
+        assert self._outcome(lower) == self._outcome(optimize_lower(self.SHAPE, cfg))
+
+    def test_shared_lower_solve_counts_only_its_own_evaluations(self):
+        cfg = CRITERION_10_CONFIG
+        inner = {}
+        upper = optimize_upper(self.SHAPE, cfg, inner=inner)
+        shared = optimize_lower(self.SHAPE, cfg, inner=inner)
+        alone = optimize_lower(self.SHAPE, cfg)
+        assert upper.evaluations == optimize_upper(self.SHAPE, cfg).evaluations
+        assert 0 <= shared.evaluations < alone.evaluations
+
+    def test_map_filled_at_another_beta_or_config_changes_nothing(self):
+        cfg = CRITERION_10_CONFIG
+        inner = {}
+        optimize_upper(ProblemShape(self.SHAPE.alpha, 0.2), cfg, inner=inner)
+        optimize_upper(self.SHAPE, OptimizerConfig(multistart_grid=1), inner=inner)
+        filled = len(inner)
+        assert optimize_lower(self.SHAPE, cfg, inner=inner) == optimize_lower(self.SHAPE, cfg)
+        assert len(inner) > filled

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from ric_bounds.specfun import erf, erfc, erfcx, erfinv
 
-from oracles import erf_quadrature, erfc_highprec, erfcx_highprec, erfinv_bisect
+from oracles import (
+    erf_quadrature,
+    erfc_highprec,
+    erfcx_highprec,
+    erfcx_trap_loop,
+    erfinv_bisect,
+)
 
 
 class TestErf:
@@ -104,6 +110,19 @@ class TestErfcx:
         xs = np.linspace(0.0, 30.0, 601)
         vals = [erfcx(float(x)) for x in xs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_mid_range_matches_loop_reference_bit_for_bit(self):
+        """The unrolled trapezoidal kernel rounds exactly like the loop it
+        replaced, on 50k points each side of the 3.5 pole-correction
+        threshold plus the range and threshold edges."""
+        rng = np.random.default_rng(20261018)
+        xs = np.concatenate([
+            rng.uniform(0.1, 3.5, 50_000),
+            rng.uniform(3.5, 10.0, 50_000),
+            [0.1, np.nextafter(3.5, 0.0), 3.5, np.nextafter(10.0, 0.0)],
+        ])
+        mismatches = [x for x in map(float, xs) if erfcx(x) != erfcx_trap_loop(x)]
+        assert mismatches == []
 
 
 class TestErfinv:
