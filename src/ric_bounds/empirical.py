@@ -15,10 +15,18 @@ Randomness is counter-based: every matrix entry is a pure function of
 Box-Muller transform.  Trials are therefore reproducible independently
 of evaluation order and safe to fan out.
 
+Sampled supports come from the same kind of counter: counter c of a
+trial's sequence draws one uniform k-subset by Floyd's algorithm, run
+in numpy across a batch of counters, and the first `budget` distinct
+subsets in counter order are the trial's supports.
+
 Per-support extreme singular values come from the k x k Gram form of
-the submatrix (symmetric PSD eigenproblem), evaluated in bulk across
-supports; the Gram matrices are gathered from a single precomputed
-A^T A per trial.
+the submatrix (symmetric PSD eigenproblem); the Gram matrices are
+gathered from a single precomputed A^T A per trial.  Only the per-trial
+extremes are needed, so a batched Cholesky screen first discards every
+support that provably cannot beat the current extremes, and eigvalsh
+runs on the rest.  The reported extremes are exactly those of eigvalsh
+over all supports.
 """
 
 from __future__ import annotations
@@ -41,28 +49,23 @@ MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on uint64 (wrapping arithmetic)."""
     z = z + np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
-def _trial_base(seed: int, trial: int) -> int:
-    return _mix64(_mix64(seed & _MASK64) ^ _mix64(trial & _MASK64))
+def _trial_base(seed: int, trial: int) -> np.ndarray:
+    """Key of one (seed, trial) pair, as a 1-element uint64 array."""
+    keys = _mix64_array(np.array([seed & _MASK64, trial & _MASK64], dtype=np.uint64))
+    return _mix64_array(keys[:1] ^ keys[1:])
 
 
 def _entry_normals(seed: int, trial: int, m: int, n: int) -> np.ndarray:
     """m x n standard normals keyed per entry by (seed, trial, row, col)."""
-    base = np.uint64(_trial_base(seed, trial))
+    base = _trial_base(seed, trial)
     rows = np.arange(m, dtype=np.uint64)[:, None]
     cols = np.arange(n, dtype=np.uint64)[None, :]
     with np.errstate(over="ignore"):
@@ -161,50 +164,108 @@ def extremal_singular(matrix: GaussianMatrix, support: SupportSet) -> tuple[floa
     return math.sqrt(max(float(eigs[0]), 0.0)), math.sqrt(max(float(eigs[-1]), 0.0))
 
 
-def _sample_support(n: int, k: int, base: int, counter: int) -> tuple[int, ...]:
-    """Floyd's uniform k-subset of {0..n-1}, keyed by (base, counter)."""
-    state = _mix64(base ^ _mix64(counter))
-    chosen: set[int] = set()
-    for j in range(n - k, n):
-        state = _mix64(state)
-        t = state % (j + 1)
-        chosen.add(t if t not in chosen else j)
-    return tuple(sorted(chosen))
-
-
 def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.ndarray:
     """First `budget` distinct supports of the deterministic (seed, trial)
     sequence.  Prefixes of the same sequence are nested, so growing the
-    budget can only extend the support set."""
-    base = _mix64(_trial_base(seed, trial) ^ 0x5851F42D4C957F2D)
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    counter = 0
+    budget can only extend the support set.
+
+    Counter c of the sequence draws Floyd's uniform k-subset of {0..n-1}
+    from the mixer state keyed by (base, c); a batch of counters runs the
+    k Floyd steps as column operations.  The budget-th distinct support
+    must come from a counter below 50 * budget + 1000."""
+    base = _mix64_array(_trial_base(seed, trial) ^ np.uint64(0x5851F42D4C957F2D))
     limit = 50 * budget + 1000
-    while len(out) < budget:
-        sup = _sample_support(n, k, base, counter)
-        counter += 1
-        if sup not in seen:
-            seen.add(sup)
-            out.append(sup)
-        if counter > limit:
+    found = np.empty((0, k), dtype=np.intp)
+    start = 0
+    stop = min(budget + budget // 4 + 64, limit)
+    while True:
+        state = _mix64_array(base ^ _mix64_array(np.arange(start, stop, dtype=np.uint64)))
+        chosen = np.empty((stop - start, k), dtype=np.uint64)
+        for i, j in enumerate(range(n - k, n)):
+            state = _mix64_array(state)
+            t = state % np.uint64(j + 1)
+            taken = (chosen[:, :i] == t[:, None]).any(axis=1)
+            chosen[:, i] = np.where(taken, np.uint64(j), t)
+        rows = np.concatenate([found, np.sort(chosen.astype(np.intp), axis=1)])
+        # Rows viewed as opaque byte strings: equal bytes, equal support.
+        keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
+        _, first = np.unique(keys, return_index=True)
+        found = rows[np.sort(first)]
+        if found.shape[0] >= budget:
+            return found[:budget]
+        if stop == limit:
             raise RuntimeError(
                 f"could not draw {budget} distinct supports from C({n},{k})={math.comb(n, k)}"
             )
-    return np.asarray(out, dtype=np.intp)
+        start, stop = stop, min(2 * stop, limit)
+
+
+# Supports per screened chunk, and incumbents per side and chunk.
+_CHUNK = 4096
+_INCUMBENTS = 32
+
+
+def _cholesky_succeeds(mats: np.ndarray) -> np.ndarray:
+    """Per matrix, whether floating-point Cholesky completes with positive
+    pivots.  mats is (k, k, B); only its lower triangle is read, and it
+    is overwritten."""
+    k = mats.shape[0]
+    ok = np.ones(mats.shape[2], dtype=bool)
+    for j in range(k):
+        ok &= mats[j, j] > 0.0
+        # A failed matrix gets an infinite pivot, which zeroes its column
+        # and leaves its trailing block finite.
+        col = mats[j + 1 :, j] / np.sqrt(np.where(ok, mats[j, j], np.inf))
+        for i in range(j + 1, k):  # lower triangle of the trailing block
+            mats[i, j + 1 : i + 1] -= col[i - j - 1] * col[: i - j]
+    return ok
 
 
 def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[float, float]:
-    """(min, max) eigenvalue over all k x k Gram blocks indexed by supports."""
+    """(min, max) eigenvalue over all k x k Gram blocks indexed by supports.
+
+    Exactly the extremes of per-block eigvalsh, found without running
+    eigvalsh on most blocks.  Per chunk, the blocks with the smallest and
+    the largest diagonal entries (lambda_min <= min diag <= max diag <=
+    lambda_max) go through eigvalsh first and, with the extremes so far,
+    give incumbents lo and hi.  A block is skipped when
+    Cholesky proves it cannot beat either: G - (lo + margin) I and
+    (hi - margin) I - G both factor.  The margin, 1e-9 times the largest
+    diagonal entry of A^T A, is absolute, so it holds when lambda_min is
+    near 0, and it is orders of magnitude above the rounding error of
+    either the factorization or eigvalsh.  The remaining blocks go
+    through the same eigvalsh."""
+    diag = np.diagonal(gram_full)
+    margin = 1e-9 * float(diag.max())
     lam_min = math.inf
     lam_max = -math.inf
-    chunk = 20000
-    for start in range(0, supports.shape[0], chunk):
-        block = supports[start : start + chunk]
-        grams = gram_full[block[:, :, None], block[:, None, :]]
-        eigs = np.linalg.eigvalsh(grams)
+
+    def solve(rows: np.ndarray) -> None:
+        nonlocal lam_min, lam_max
+        eigs = np.linalg.eigvalsh(gram_full[rows[:, :, None], rows[:, None, :]])
         lam_min = min(lam_min, float(eigs[:, 0].min()))
         lam_max = max(lam_max, float(eigs[:, -1].max()))
+
+    for start in range(0, supports.shape[0], _CHUNK):
+        block = supports[start : start + _CHUNK]
+        # Column-major indices: the gathered blocks come out (k, k, B),
+        # so each Cholesky step is a few vector ops.
+        cols = np.ascontiguousarray(block.T)
+        count = min(_INCUMBENTS, block.shape[0])
+        incumbents = np.union1d(
+            np.argpartition(diag[cols].min(axis=0), count - 1)[:count],
+            np.argpartition(-diag[cols].max(axis=0), count - 1)[:count],
+        )
+        solve(block[incumbents])
+
+        grams = gram_full[cols[:, None, :], cols[None, :, :]]
+        eye = np.eye(block.shape[1])[:, :, None]
+        above_lo = _cholesky_succeeds(grams - (lam_min + margin) * eye)
+        below_hi = _cholesky_succeeds((lam_max - margin) * eye - grams)
+        skip = above_lo & below_hi
+        skip[incumbents] = True
+        if not skip.all():
+            solve(block[~skip])
     return lam_min, lam_max
 
 

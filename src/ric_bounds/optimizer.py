@@ -72,7 +72,10 @@ class OptimizerConfig:
     outer_tol: absolute width at which the golden-section c3 bracket stops.
     multistart_grid: inner starting points per axis (grid count squared total).
     c3_bracket: log-spaced outer search interval for c3.
-    max_evals: inner objective evaluation budget per inner solve.
+    max_evals: inner objective evaluation budget per inner solve, split
+        evenly over the multistart_grid**2 starts with at least 3 per
+        start (the initial simplex), so one solve spends at most
+        max(max_evals, 3 * multistart_grid**2) evaluations.
     """
 
     inner_tol: float = 1e-10

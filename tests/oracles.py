@@ -7,7 +7,7 @@ doubles, bisection instead of Newton, Monte Carlo instead of closed
 forms, and power iteration instead of a dense eigensolver.
 
 The module ends with reference implementations: plain loop-and-list
-forms of two package kernels that the package runs in faster forms,
+forms of package kernels that the package runs in faster forms,
 against which those are checked bit for bit.
 """
 
@@ -166,8 +166,9 @@ def gram_extremes_power_iteration(
 #
 # Unlike the oracles above, these follow the package's own algorithms step
 # for step, in their plain loop-and-list form.  The package runs faster
-# forms of them (an unrolled erfcx sum, a 2-D simplex on tuples) that must
-# round identically, so the tests compare the two bit for bit.
+# forms of them (an unrolled erfcx sum, a 2-D simplex on tuples, a support
+# sampler batched over counters, extremes screened by Cholesky) that must
+# give identical results, so the tests compare the two bit for bit.
 
 
 def erfcx_trap_loop(x: float) -> float:
@@ -240,3 +241,60 @@ def nelder_mead_lists(f, x0, step, tol, max_evals):
                     evals += 1
                     if vals[i] < best_f:
                         best_x, best_f = list(pts[i]), vals[i]
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64_scalar(z: int) -> int:
+    """splitmix64 finalizer on a Python int."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _floyd_support(n: int, k: int, base: int, counter: int) -> tuple[int, ...]:
+    """Floyd's uniform k-subset of {0..n-1}, keyed by (base, counter)."""
+    state = mix64_scalar(base ^ mix64_scalar(counter))
+    chosen: set[int] = set()
+    for j in range(n - k, n):
+        state = mix64_scalar(state)
+        t = state % (j + 1)
+        chosen.add(t if t not in chosen else j)
+    return tuple(sorted(chosen))
+
+
+def sampled_supports_loop(n: int, k: int, budget: int, seed: int, trial: int) -> np.ndarray:
+    """``empirical._sampled_supports`` one counter at a time with a seen-set."""
+    trial_base = mix64_scalar(mix64_scalar(seed & _MASK64) ^ mix64_scalar(trial & _MASK64))
+    base = mix64_scalar(trial_base ^ 0x5851F42D4C957F2D)
+    seen: set[tuple[int, ...]] = set()
+    out: list[tuple[int, ...]] = []
+    counter = 0
+    limit = 50 * budget + 1000
+    while len(out) < budget:
+        sup = _floyd_support(n, k, base, counter)
+        counter += 1
+        if sup not in seen:
+            seen.add(sup)
+            out.append(sup)
+        if counter > limit:
+            raise RuntimeError(
+                f"could not draw {budget} distinct supports from C({n},{k})={math.comb(n, k)}"
+            )
+    return np.asarray(out, dtype=np.intp)
+
+
+def extreme_gram_eigs_unscreened(gram_full: np.ndarray, supports: np.ndarray) -> tuple[float, float]:
+    """``empirical._extreme_gram_eigs`` without the screen: eigvalsh on every block."""
+    lam_min = math.inf
+    lam_max = -math.inf
+    chunk = 20000
+    for start in range(0, supports.shape[0], chunk):
+        block = supports[start : start + chunk]
+        grams = gram_full[block[:, :, None], block[:, None, :]]
+        eigs = np.linalg.eigvalsh(grams)
+        lam_min = min(lam_min, float(eigs[:, 0].min()))
+        lam_max = max(lam_max, float(eigs[:, -1].max()))
+    return lam_min, lam_max

@@ -160,6 +160,9 @@ class TestSweep:
 class TestEmpirical:
     ARGS = ["empirical", "--m", "5", "--n", "8", "--k", "2", "--trials", "5", "--seed", "1",
             "--support-budget", "100"] + FAST
+    # 10 of the C(8, 2) = 28 supports per trial.
+    SAMPLED = ["empirical", "--m", "5", "--n", "8", "--k", "2", "--trials", "5", "--seed", "1",
+               "--support-budget", "10"] + FAST
 
     def test_smoke_and_verdict(self, capsys):
         code, out, _ = run_cli(self.ARGS, capsys)
@@ -187,6 +190,29 @@ class TestEmpirical:
         assert set(payload) == {"meta", "empirical", "bounds", "sandwich"}
         assert payload["empirical"]["uric"]["mode"] == "exhaustive"
         assert payload["sandwich"]["verdict"] is True
+        assert payload["sandwich"]["conclusive"] is True
+
+    def test_sampled_pass_is_inconclusive(self, capsys):
+        """Sampled extremes sit inside the exhaustive ones, so the sandwich
+        holding on them is no evidence."""
+        code, out, _ = run_cli(self.SAMPLED, capsys)
+        assert code == 0
+        assert "mode: sampled" in out
+        assert out.strip().endswith("verdict: no violation found (sampled)")
+        assert "verdict: PASS" not in out
+        _, out, _ = run_cli(self.SAMPLED + ["--format", "json"], capsys)
+        sandwich = json.loads(out)["sandwich"]
+        assert sandwich["verdict"] is True and sandwich["conclusive"] is False
+
+    def test_sampled_fail_is_conclusive(self, capsys):
+        """A negative slack the sampled uric mean cannot meet: sampling only
+        understates uric, so the exhaustive run would fail too."""
+        failing = self.SAMPLED + ["--slack", "-5"]
+        _, out, _ = run_cli(failing, capsys)
+        assert out.strip().endswith("verdict: FAIL")
+        _, out, _ = run_cli(failing + ["--format", "json"], capsys)
+        sandwich = json.loads(out)["sandwich"]
+        assert sandwich["verdict"] is False and sandwich["conclusive"] is True
 
 
 class TestEntryPoint:

@@ -1,5 +1,6 @@
 """Finite-size oracle: keyed sampling, per-support extremes, aggregation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,20 @@ from ric_bounds import (
     extremal_singular,
     sample_matrix,
 )
-from ric_bounds.empirical import MODE_EXHAUSTIVE, MODE_SAMPLED, _sampled_supports
+from ric_bounds.empirical import (
+    _CHUNK,
+    _INCUMBENTS,
+    MODE_EXHAUSTIVE,
+    MODE_SAMPLED,
+    _extreme_gram_eigs,
+    _sampled_supports,
+)
 
-from oracles import gram_extremes_power_iteration
+from oracles import (
+    extreme_gram_eigs_unscreened,
+    gram_extremes_power_iteration,
+    sampled_supports_loop,
+)
 
 
 class TestSampleMatrix:
@@ -127,8 +139,6 @@ class TestEmpiricalRic:
         directions = np.stack([np.cos(thetas), np.sin(thetas)])
         best_hi = 0.0
         best_lo = math.inf
-        import itertools
-
         for support in itertools.combinations(range(n), k):
             sub = matrix.entries[:, list(support)]
             norms = np.linalg.norm(sub @ directions, axis=0)
@@ -185,3 +195,83 @@ class TestSampledUnderstatesExhaustive:
             assert s <= e + 1e-12
         for s, e in zip(samp_l.per_trial, exact_l.per_trial):
             assert s >= e - 1e-12
+
+
+class TestSamplerMatchesReference:
+    """The batched sampler against the one-counter-at-a-time loop."""
+
+    @pytest.mark.parametrize(
+        "n,k,budget",
+        # (12, 3, 219): C(12, 3) = 220, so the tail of the sequence is
+        # almost all repeats and the first batch cannot finish the draw.
+        [(80, 8, 20000), (40, 4, 5000), (12, 6, 900), (24, 3, 50), (24, 3, 400), (12, 3, 219)],
+    )
+    @pytest.mark.parametrize("seed,trial", [(0, 0), (1, 3), (7, 19)])
+    def test_bit_for_bit(self, n, k, budget, seed, trial):
+        got = _sampled_supports(n, k, budget, seed, trial)
+        want = sampled_supports_loop(n, k, budget, seed, trial)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,k", [(12, 3), (6, 2)])
+    def test_budget_beyond_support_count_raises(self, n, k):
+        budget = math.comb(n, k) + 1
+        with pytest.raises(RuntimeError, match="could not draw"):
+            sampled_supports_loop(n, k, budget, seed=0, trial=0)
+        with pytest.raises(RuntimeError, match="could not draw"):
+            _sampled_supports(n, k, budget, seed=0, trial=0)
+
+
+def _random_gram(m, n, seed, duplicate=False):
+    a = np.random.default_rng(seed).standard_normal((m, n))
+    if duplicate:
+        a[:, n - 1] = a[:, 0]
+    return a.T @ a
+
+
+class TestScreenMatchesReference:
+    """The Cholesky-screened extremes against eigvalsh on every block:
+    survivors run the same eigvalsh, so the extremes agree to the bit."""
+
+    @pytest.mark.parametrize(
+        "m,n,k,count",
+        [
+            (6, 20, 1, 20),
+            (6, 30, 2, 435),
+            (8, 14, 7, 3432),  # k = m - 1
+            (5, 60, 4, _CHUNK - 1),
+            (5, 60, 4, _CHUNK + 1),
+            (8, 16, 3, _INCUMBENTS - 5),  # fewer supports than incumbents
+        ],
+    )
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_for_bit(self, m, n, k, count, duplicate, seed):
+        gram = _random_gram(m, n, seed, duplicate)
+        supports = np.array(list(itertools.islice(itertools.combinations(range(n), k), count)),
+                            dtype=np.intp)
+        if duplicate and k > 1:
+            # The last support holds both copies of column 0.
+            supports[-1, 0], supports[-1, -1] = 0, n - 1
+        got = _extreme_gram_eigs(gram, supports)
+        assert got == extreme_gram_eigs_unscreened(gram, supports)
+        if duplicate and k > 1:
+            assert abs(got[0]) < 1e-12 * gram.diagonal().max()
+
+    def test_screen_skips_most_blocks(self, monkeypatch):
+        """At the sampled benchmark shape, few blocks reach eigvalsh."""
+        matrix = sample_matrix(40, 80, seed=0)
+        gram = matrix.entries.T @ matrix.entries
+        supports = _sampled_supports(80, 8, 20000, seed=0, trial=0)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            solved.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        got = _extreme_gram_eigs(gram, supports)
+        assert sum(solved) < 0.05 * supports.shape[0]
+        monkeypatch.undo()
+        assert got == extreme_gram_eigs_unscreened(gram, supports)

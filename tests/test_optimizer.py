@@ -93,6 +93,16 @@ class TestMinimizeInner:
         assert report.restarts_used == 16
         assert report.evaluations <= cfg.max_evals
 
+    @pytest.mark.parametrize("max_evals", [7, 40])
+    def test_budget_floor_of_three_per_start(self, max_evals):
+        """Below 3 evaluations per start the budget is overspent, up to the
+        initial simplex of every start."""
+        cfg = OptimizerConfig(max_evals=max_evals)
+        starts = cfg.multistart_grid**2
+        report = minimize_inner(0.5, 0.1, cfg)
+        assert report.evaluations <= max(cfg.max_evals, 3 * starts)
+        assert report.evaluations > cfg.max_evals
+
     def test_rejects_nonpositive_c3(self):
         with pytest.raises(ValueError):
             minimize_inner(0.0, 0.1)
