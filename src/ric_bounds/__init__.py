@@ -22,8 +22,6 @@ from .bounds_lifted import (
     gamma_hat,
     i_sph,
     i_uric_inner,
-    lifted_lower_objective,
-    lifted_upper_objective,
 )
 from .bounds_simple import (
     BOUND_KINDS,
@@ -45,6 +43,8 @@ from .empirical import (
 from .optimizer import (
     OptimizerConfig,
     OptimReport,
+    lifted_lower_objective,
+    lifted_upper_objective,
     minimize_inner,
     optimize_lower,
     optimize_upper,

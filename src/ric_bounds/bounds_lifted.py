@@ -169,28 +169,3 @@ def lower_value_from_inner(c3: float, shape: ProblemShape, inner_value: float) -
         shape.alpha
     )
 
-
-def lifted_upper_objective(c3: float, shape: ProblemShape, config=None) -> float:
-    """Upper objective at a fixed c3 > 0 with the (gamma, nu) pair minimized out.
-
-    Every c3 > 0 yields a valid upper bound; the best one is found by
-    :func:`ric_bounds.optimizer.optimize_upper`.  Tends to the closed-form
-    simple upper bound as c3 -> 0.
-    """
-    from . import optimizer  # local import: optimizer depends on this module
-
-    report = optimizer.minimize_inner(c3, shape.beta, config)
-    return upper_value_from_inner(c3, shape, report.best_value)
-
-
-def lifted_lower_objective(c3: float, shape: ProblemShape, config=None) -> float:
-    """Lower objective at a fixed c3 > 0 with the (gamma, nu) pair minimized out.
-
-    Every c3 > 0 yields a valid lower bound, so the family is maximized
-    over c3 by :func:`ric_bounds.optimizer.optimize_lower`.  Tends to the
-    closed-form simple lower bound as c3 -> 0.
-    """
-    from . import optimizer
-
-    report = optimizer.minimize_inner(c3, shape.beta, config)
-    return lower_value_from_inner(c3, shape, report.best_value)

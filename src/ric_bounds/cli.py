@@ -93,7 +93,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--inner-tol", type=float, default=defaults.inner_tol)
     parser.add_argument("--outer-tol", type=float, default=defaults.outer_tol)
     parser.add_argument("--multistart", type=int, default=defaults.multistart_grid,
-                        help="inner multistart grid points per axis")
+                        help="inner start points per axis: 1 starts one simplex at the "
+                             "c3 -> 0 optimum, N >= 2 starts N x N from a log grid")
     parser.add_argument("--c3-min", type=float, default=defaults.c3_bracket[0])
     parser.add_argument("--c3-max", type=float, default=defaults.c3_bracket[1])
     parser.add_argument("--max-evals", type=int, default=defaults.max_evals)

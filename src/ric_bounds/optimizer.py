@@ -7,8 +7,16 @@ Two levels:
   coordinates (u, v), gamma = c3/2 + e^u, nu = e^v.  The
   reparameterization enforces feasibility by construction, so the
   moment-divergence boundary p = c3/(4 gamma) = 1/2 is never crossed.
-  The simplex is multistarted from a fixed log-spaced grid because the
-  landscape is not known to be unimodal.
+  One start suffices.  J is jointly convex on gamma > c3/2, nu >= 0 (a
+  log-partition of functions convex in (gamma, nu)), and its minimum is
+  interior: at nu = 0, dJ/dnu = beta - 1 < 0, and J -> +inf as
+  gamma -> c3/2, as gamma -> inf and as nu -> inf.  (u, v) -> (gamma, nu)
+  is a diffeomorphism onto that interior, so the simplex's objective has
+  one local minimum.  The start is the analytic c3 -> 0 optimum,
+  gamma - c3/2 = g0 = tail_term(beta)/2 and
+  nu = optimal_nu(beta)^2 / (4 (c3/2 + g0)), so the threshold
+  2 sqrt(gamma nu) is the c3 -> 0 tail quantile.  multistart_grid >= 2
+  searches from a log grid of starts instead.
 
 * outer: scan c3 over a log-spaced 25-point grid on the configured
   bracket, then refine around the best point with golden-section search.
@@ -35,6 +43,7 @@ caller decides how long to keep it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +79,9 @@ class OptimizerConfig:
 
     inner_tol: absolute objective tolerance of the inner simplex search.
     outer_tol: absolute width at which the golden-section c3 bracket stops.
-    multistart_grid: inner starting points per axis (grid count squared total).
+    multistart_grid: inner starting points per axis.  1 (the default)
+        runs one simplex from the analytic c3 -> 0 optimum; N >= 2 runs
+        N**2 simplexes from an N x N log grid instead.
     c3_bracket: log-spaced outer search interval for c3.
     max_evals: inner objective evaluation budget per inner solve, split
         evenly over the multistart_grid**2 starts with at least 3 per
@@ -80,7 +91,7 @@ class OptimizerConfig:
 
     inner_tol: float = 1e-10
     outer_tol: float = 1e-6
-    multistart_grid: int = 4
+    multistart_grid: int = 1
     c3_bracket: tuple[float, float] = (1e-4, 64.0)
     max_evals: int = 20000
 
@@ -184,8 +195,6 @@ def _nelder_mead(f, x0, step, tol, max_evals):
 
 
 def _seed_grid(count: int) -> list[float]:
-    if count == 1:
-        return [_SEED_LO]
     ratio = _SEED_HI / _SEED_LO
     return [_SEED_LO * ratio ** (i / (count - 1)) for i in range(count)]
 
@@ -193,8 +202,9 @@ def _seed_grid(count: int) -> list[float]:
 def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None) -> OptimReport:
     """Minimize J(c3, beta, gamma, nu) over gamma > c3/2, nu >= 0.
 
-    Simplex descent in (u, v) = (log(gamma - c3/2), log(nu)), multistarted
-    from a fixed log grid; deterministic for identical inputs.
+    Simplex descent in (u, v) = (log(gamma - c3/2), log(nu)) from the
+    analytic c3 -> 0 optimum, or from a fixed log grid when
+    multistart_grid >= 2; deterministic for identical inputs.
     """
     cfg = config or DEFAULT_CONFIG
     if not c3 > 0.0:
@@ -211,10 +221,14 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
             return math.inf
         return i_uric_inner(c3, beta, gamma, math.exp(v))
 
-    seeds = [
-        (math.log(g), math.log(v)) for g in _seed_grid(cfg.multistart_grid)
-        for v in _seed_grid(cfg.multistart_grid)
-    ]
+    if cfg.multistart_grid == 1:
+        g0, threshold_sq = _limit_seed(beta)
+        seeds = [(math.log(g0), math.log(threshold_sq / (4.0 * (half_c3 + g0))))]
+    else:
+        seeds = [
+            (math.log(g), math.log(v)) for g in _seed_grid(cfg.multistart_grid)
+            for v in _seed_grid(cfg.multistart_grid)
+        ]
     per_start = max(cfg.max_evals // len(seeds), 3)
 
     best_x = None
@@ -269,11 +283,20 @@ def _log_grid(lo: float, hi: float, count: int) -> list[float]:
     return [lo * ratio ** (i / (count - 1)) for i in range(count)]
 
 
+@functools.lru_cache(maxsize=256)
+def _limit_seed(beta: float) -> tuple[float, float]:
+    """(g0, t^2) of the analytic c3 -> 0 optimum: g0 = tail_term(beta)/2 and
+    t = optimal_nu(beta).  Cached because every inner solve of one outer
+    solve shares beta, and the two erfinv calls cost about 7% of a
+    single-start inner solve."""
+    threshold = optimal_nu(beta)
+    return 0.5 * tail_term(beta), threshold * threshold
+
+
 def _limit_params(beta: float) -> LiftedParams:
     # Analytic optimum of the c3 -> 0 reparameterized objective.
-    gamma = 0.5 * tail_term(beta)
-    nu_threshold = optimal_nu(beta)
-    return LiftedParams(c3=0.0, gamma=gamma, nu=nu_threshold * nu_threshold / (4.0 * gamma))
+    gamma, threshold_sq = _limit_seed(beta)
+    return LiftedParams(c3=0.0, gamma=gamma, nu=threshold_sq / (4.0 * gamma))
 
 
 def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str,
@@ -343,6 +366,28 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str,
         converged=converged,
         evaluations=evaluations,
     )
+
+
+def lifted_upper_objective(c3: float, shape: ProblemShape, config=None) -> float:
+    """Upper objective at a fixed c3 > 0 with the (gamma, nu) pair minimized out.
+
+    Every c3 > 0 yields a valid upper bound; the best one is found by
+    :func:`optimize_upper`.  Tends to the closed-form simple upper bound
+    as c3 -> 0.
+    """
+    report = minimize_inner(c3, shape.beta, config)
+    return upper_value_from_inner(c3, shape, report.best_value)
+
+
+def lifted_lower_objective(c3: float, shape: ProblemShape, config=None) -> float:
+    """Lower objective at a fixed c3 > 0 with the (gamma, nu) pair minimized out.
+
+    Every c3 > 0 yields a valid lower bound, so the family is maximized
+    over c3 by :func:`optimize_lower`.  Tends to the closed-form simple
+    lower bound as c3 -> 0.
+    """
+    report = minimize_inner(c3, shape.beta, config)
+    return lower_value_from_inner(c3, shape, report.best_value)
 
 
 def optimize_upper(shape: ProblemShape, config: OptimizerConfig | None = None,

@@ -134,6 +134,73 @@ def moment_monte_carlo(
     return mean, math.sqrt(var / samples)
 
 
+# --- the lifted objective in extended precision ------------------------------
+#
+# The package evaluates the moment M on the erfcx path in doubles; these
+# evaluate it from the erfc closed form at CERT_DPS digits.  Arguments are
+# taken as exact binary values and results are mpf at CERT_DPS digits, so
+# call them (and combine their results) inside ``mp.workdps(CERT_DPS)``.
+
+CERT_DPS = 50
+
+
+def _moment_mp(c3, gamma, nu):
+    """(M, T, Q) for h ~ N(0,1), p = c3/(4 gamma) and b = 2 sqrt(gamma nu):
+
+    M = E exp(c3 max(h^2/(4 gamma) - nu, 0))
+      = e^{-c3 nu}/sqrt(1-2p) erfc(sqrt(2 nu gamma (1-2p))) + erf(sqrt(2 nu gamma)),
+    T = E[e^{c3 (h^2/(4 gamma) - nu)}; |h| > b]      (the first summand of M),
+    Q = E[h^2 e^{c3 (h^2/(4 gamma) - nu)}; |h| > b].
+    """
+    c3, gamma, nu = mp.mpf(c3), mp.mpf(gamma), mp.mpf(nu)
+    omp = 1 - c3 / (2 * gamma)  # 1 - 2p
+    s = 2 * nu * gamma
+    z = mp.sqrt(s * omp)  # b sqrt(1-2p) / sqrt(2)
+    scale = mp.exp(-c3 * nu)
+    tail = scale / mp.sqrt(omp) * mp.erfc(z)
+    # int_c^inf x^2 e^{-x^2/2} dx = c e^{-c^2/2} + sqrt(pi/2) erfc(c/sqrt 2), c = b sqrt(1-2p)
+    second = scale / omp ** 1.5 * (2 * z / mp.sqrt(mp.pi) * mp.exp(-z * z) + mp.erfc(z))
+    return tail + mp.erf(mp.sqrt(s)), tail, second
+
+
+def inner_objective_mp(c3, beta, gamma, nu):
+    """J(c3, beta, gamma, nu) = nu beta + gamma + log(M)/c3."""
+    moment = _moment_mp(c3, gamma, nu)[0]
+    return mp.mpf(nu) * mp.mpf(beta) + mp.mpf(gamma) + mp.log(moment) / mp.mpf(c3)
+
+
+def inner_gradient_mp(c3, beta, gamma, nu):
+    """(dJ/dgamma, dJ/dnu) = (1 - Q/(4 gamma^2 M), beta - T/M)."""
+    moment, tail, second = _moment_mp(c3, gamma, nu)
+    gamma = mp.mpf(gamma)
+    return 1 - second / (4 * gamma * gamma * moment), mp.mpf(beta) - tail / moment
+
+
+def inner_minimum_mp(c3, beta, gamma, nu):
+    """(gamma*, nu*, J*) of min J at this c3: Newton on the gradient from
+    (gamma, nu).  J is convex, so a stationary point is the minimum."""
+    g, n = mp.findroot(lambda g, n: inner_gradient_mp(c3, beta, g, n),
+                       (mp.mpf(gamma), mp.mpf(nu)))
+    return g, n, inner_objective_mp(c3, beta, g, n)
+
+
+def i_sph_mp(c3, alpha, plus: bool):
+    """ghat - (alpha/(2 c3)) log(1 - c3/(2 ghat)), ghat = (2 c3 +- sqrt(4 c3^2 + 16 alpha))/8."""
+    c3, alpha = mp.mpf(c3), mp.mpf(alpha)
+    root = mp.sqrt(4 * c3 * c3 + 16 * alpha)
+    ghat = (2 * c3 + root) / 8 if plus else (2 * c3 - root) / 8
+    return ghat - alpha / (2 * c3) * mp.log(1 - c3 / (2 * ghat))
+
+
+def lifted_value_mp(upper: bool, alpha, beta, c3, gamma, nu):
+    """The assembled upper or lower objective at (c3, gamma, nu)."""
+    inner = inner_objective_mp(c3, beta, gamma, nu)
+    half = mp.mpf(c3) / 2
+    if upper:
+        return (-half + inner + i_sph_mp(c3, alpha, True)) / mp.sqrt(mp.mpf(alpha))
+    return (half - inner - i_sph_mp(c3, alpha, False)) / mp.sqrt(mp.mpf(alpha))
+
+
 def gram_extremes_power_iteration(
     gram: np.ndarray, iterations: int = 4000
 ) -> tuple[float, float]:

@@ -1,0 +1,86 @@
+"""Extended-precision certificate of the optimized lifted bounds.
+
+Every reported (c3, gamma, nu) of the two reference grids is re-evaluated
+from the erfc closed form at 50 digits (``oracles.lifted_value_mp``), a
+route disjoint from the package's erfcx path in doubles.  The reported
+value must equal it to 1e-13.  The inner solve must also be tight: at the
+reported c3, J at the reported (gamma, nu) may exceed min J, found by
+Newton on the analytic gradient, by at most 1e-10.  Cells won by the
+c3 -> 0 limit report the closed form and carry no (gamma, nu) to check.
+"""
+
+import pytest
+from mpmath import mp
+
+from ric_bounds import ProblemShape, i_uric_inner
+
+from oracles import (
+    CERT_DPS,
+    inner_gradient_mp,
+    inner_minimum_mp,
+    inner_objective_mp,
+    lifted_value_mp,
+)
+
+VALUE_TOL = 1e-13
+INNER_GAP_TOL = 1e-10
+
+
+def _cells(upper_grid, lower_grid):
+    """(upper?, alpha, beta, result) of every cell not won by the c3 -> 0 limit."""
+    cells = []
+    for upper, (results, _elapsed) in ((True, upper_grid), (False, lower_grid)):
+        for (alpha, rho), result in sorted(results.items()):
+            if result.params.c3 > 0.0:
+                cells.append((upper, alpha, ProblemShape.from_rho(alpha, rho).beta, result))
+    return cells
+
+
+def test_reported_values_match_extended_precision(upper_grid, lower_grid):
+    cells = _cells(upper_grid, lower_grid)
+    assert len(cells) >= 40  # the limit wins only a few flat cells
+    worst = 0.0
+    with mp.workdps(CERT_DPS):
+        for upper, alpha, beta, result in cells:
+            p = result.params
+            exact = lifted_value_mp(upper, alpha, beta, p.c3, p.gamma, p.nu)
+            err = abs(float(result.value - exact))
+            worst = max(worst, err)
+            assert err <= VALUE_TOL, (upper, alpha, beta, p, err)
+    print(f"worst |value - mp value| over {len(cells)} cells: {worst:.2e}")
+
+
+def test_inner_solves_are_tight(upper_grid, lower_grid):
+    """J(reported) - min J <= 1e-10 at the reported c3 on every cell, the
+    far ends of the c3 range included: lower (0.1, 0.5) at c3 ~ 37.5 and
+    upper (0.9, 0.9) at c3 ~ 0.005."""
+    cells = _cells(upper_grid, lower_grid)
+    c3s = [result.params.c3 for *_cell, result in cells]
+    assert min(c3s) < 0.01 and max(c3s) > 30.0
+    worst = 0.0
+    with mp.workdps(CERT_DPS):
+        for upper, alpha, beta, result in cells:
+            p = result.params
+            gamma, nu, best = inner_minimum_mp(p.c3, beta, p.gamma, p.nu)
+            assert gamma > mp.mpf(p.c3) / 2 and nu > 0, (upper, alpha, beta, p)
+            gap = float(inner_objective_mp(p.c3, beta, p.gamma, p.nu) - best)
+            worst = max(worst, gap)
+            assert -1e-30 <= gap <= INNER_GAP_TOL, (upper, alpha, beta, p, gap)
+    print(f"worst inner gap over {len(cells)} cells: {worst:.2e}")
+
+
+@pytest.mark.parametrize(
+    "c3,beta,gamma,nu",
+    [(0.005, 0.81, 0.6, 0.3), (0.4, 0.05, 0.5, 6.0), (37.5, 0.05, 19.0, 0.1), (4.0, 0.3, 2.5, 1.0)],
+)
+def test_oracle_agrees_with_package_and_numeric_gradient(c3, beta, gamma, nu):
+    """The oracle's J matches the package's i_uric_inner, and its analytic
+    gradient matches numerical differentiation of its J."""
+    with mp.workdps(CERT_DPS):
+        exact = inner_objective_mp(c3, beta, gamma, nu)
+        assert abs(float(exact) - i_uric_inner(c3, beta, gamma, nu)) <= 1e-13 * max(1.0, abs(exact))
+        dg, dn = inner_gradient_mp(c3, beta, gamma, nu)
+        num_dg = mp.diff(lambda g: inner_objective_mp(c3, beta, g, nu), mp.mpf(gamma))
+        num_dn = mp.diff(lambda n: inner_objective_mp(c3, beta, gamma, n), mp.mpf(nu))
+        assert abs(dg - num_dg) < mp.mpf(10) ** -30
+        assert abs(dn - num_dn) < mp.mpf(10) ** -30

@@ -18,7 +18,7 @@ from ric_bounds import (
     simple_upper,
 )
 from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
-from ric_bounds.bounds_simple import KIND_LOWER_LIFTED, KIND_UPPER_LIFTED
+from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN, KIND_LOWER_LIFTED, KIND_UPPER_LIFTED
 
 from oracles import nelder_mead_lists
 
@@ -33,7 +33,7 @@ class TestConfig:
         cfg = OptimizerConfig()
         assert cfg.inner_tol == 1e-10
         assert cfg.outer_tol == 1e-6
-        assert cfg.multistart_grid == 4
+        assert cfg.multistart_grid == 1
         assert cfg.c3_bracket == (1e-4, 64.0)
         assert cfg.max_evals == 20000
 
@@ -88,7 +88,10 @@ class TestMinimizeInner:
             assert report.best_params.nu >= 0.0
 
     def test_budget_and_restart_accounting(self):
-        cfg = OptimizerConfig(max_evals=160)
+        report = minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=160))
+        assert report.restarts_used == 1
+        assert report.evaluations <= 160
+        cfg = OptimizerConfig(multistart_grid=4, max_evals=160)
         report = minimize_inner(0.5, 0.1, cfg)
         assert report.restarts_used == 16
         assert report.evaluations <= cfg.max_evals
@@ -96,12 +99,27 @@ class TestMinimizeInner:
     @pytest.mark.parametrize("max_evals", [7, 40])
     def test_budget_floor_of_three_per_start(self, max_evals):
         """Below 3 evaluations per start the budget is overspent, up to the
-        initial simplex of every start."""
-        cfg = OptimizerConfig(max_evals=max_evals)
+        initial simplex of every start; one start keeps within it."""
+        cfg = OptimizerConfig(multistart_grid=4, max_evals=max_evals)
         starts = cfg.multistart_grid**2
         report = minimize_inner(0.5, 0.1, cfg)
         assert report.evaluations <= max(cfg.max_evals, 3 * starts)
         assert report.evaluations > cfg.max_evals
+        assert minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals)).evaluations <= max_evals
+
+    @pytest.mark.parametrize("c3", [1e-4, 1.0, 256.0, 4096.0])
+    @pytest.mark.parametrize("beta", [BETA_MIN, 0.5, BETA_MAX])
+    def test_single_start_at_domain_edges(self, c3, beta):
+        """The one analytic start reaches the 16-start grid's minimum at the
+        edges of beta and far out in c3, where gamma - c3/2 and J cancel."""
+        report = minimize_inner(c3, beta)
+        grid = minimize_inner(c3, beta, OptimizerConfig(multistart_grid=4))
+        assert report.converged
+        assert report.best_params.gamma > c3 / 2.0
+        assert report.best_params.nu > 0.0
+        assert math.isfinite(report.best_value)
+        assert report.best_value <= grid.best_value + 1e-9
+        assert report.evaluations < grid.evaluations
 
     def test_rejects_nonpositive_c3(self):
         with pytest.raises(ValueError):
