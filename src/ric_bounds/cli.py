@@ -91,7 +91,9 @@ def _compute_bound(kind: str, shape: ProblemShape, config: OptimizerConfig,
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = OptimizerConfig()
     parser.add_argument("--inner-tol", type=float, default=defaults.inner_tol)
-    parser.add_argument("--outer-tol", type=float, default=defaults.outer_tol)
+    parser.add_argument("--outer-tol", type=float, default=defaults.outer_tol,
+                        help="width in log c3 (a relative width in c3) at which the "
+                             "c3 search stops")
     parser.add_argument("--multistart", type=int, default=defaults.multistart_grid,
                         help="inner start points per axis: 1 starts one simplex at the "
                              "c3 -> 0 optimum, N >= 2 starts N x N from a log grid")

@@ -18,18 +18,21 @@ Two levels:
   2 sqrt(gamma nu) is the c3 -> 0 tail quantile.  multistart_grid >= 2
   searches from a log grid of starts instead.
 
-* outer: scan c3 over a log-spaced 25-point grid on the configured
-  bracket, then refine around the best point with golden-section search.
-  The upper bound is minimized over c3 and the lower bound maximized.
-  If the best grid point sits on a bracket edge the bracket is widened
-  once by 4x and the scan retried; a persistent edge is reported as
-  non-convergence.  The c3 -> 0 closed-form limit (the simple bound) is
+* outer: one Brent minimization (golden-section plus parabolic steps,
+  derivative-free) over t = log c3 on [log(lo/4), log(4 hi)], where
+  (lo, hi) is the configured bracket, stopping when the bracket around
+  the best point is outer_tol wide in log c3.  The upper bound is
+  minimized over c3 and the lower bound maximized.  A final bracket that
+  still touches the upper end means the optimum lies at or past 4 hi:
+  c3 = 4 hi is then evaluated as a candidate and the result is reported
+  as non-converged.  The c3 -> 0 closed-form limit (the simple bound) is
   always included as a candidate, so the returned value can never be
-  worse than the simple bound; the limit is never evaluated at c3 = 0
-  itself, which is a removable singularity of the objective.
+  worse than the simple bound; a final bracket at the lower end is
+  non-convergence unless that limit wins.  The limit is never evaluated
+  at c3 = 0 itself, which is a removable singularity of the objective.
 
-Everything is deterministic: fixed grids, no randomized restarts, and
-ties between equal-valued optima resolve to the smallest c3.
+Everything is deterministic: fixed start points, no randomized restarts,
+and ties between equal-valued optima resolve to the smallest c3.
 
 Both families minimize the same J(c3, beta, .), so an upper and a lower
 solve at one shape can share inner solves: pass the same dict as
@@ -64,25 +67,29 @@ from .bounds_simple import (
     tail_term,
 )
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(math.ulp(1.0))
 
 # Multistart seed range for gamma - c3/2 and nu (log-spaced).
 _SEED_LO = 1e-3
 _SEED_HI = 30.0
-
-_COARSE_POINTS = 25
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Search tolerances and budgets.
 
-    inner_tol: absolute objective tolerance of the inner simplex search.
-    outer_tol: absolute width at which the golden-section c3 bracket stops.
+    inner_tol: the inner simplex stops once its three values lie within
+        inner_tol of each other.  That bounds their spread, not the
+        distance to min J: one start at (c3, beta) = (4096, 0.5) stops
+        2.7e-10 above the 16-start (multistart_grid=4) result.
+    outer_tol: width in log c3, so a relative width in c3, at which the
+        Brent search over c3 stops.
     multistart_grid: inner starting points per axis.  1 (the default)
         runs one simplex from the analytic c3 -> 0 optimum; N >= 2 runs
         N**2 simplexes from an N x N log grid instead.
-    c3_bracket: log-spaced outer search interval for c3.
+    c3_bracket: (lo, hi) for c3; the outer search runs on the bracket
+        widened 4x on each side, [lo/4, 4 hi].
     max_evals: inner objective evaluation budget per inner solve, split
         evenly over the multistart_grid**2 starts with at least 3 per
         start (the initial simplex), so one solve spends at most
@@ -256,31 +263,60 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     )
 
 
-def _golden_section(f, a, b, tol):
-    """Golden-section minimize on [a, b]; returns the best evaluated (value, x)."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    best = min((fc, c), (fd, d))
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-            if (fc, c) < best:
-                best = (fc, c)
+def _brent_minimize(f, a, b, tol):
+    """Brent's derivative-free minimization of f on [a, b]: golden-section
+    steps plus parabolic steps through the three best points, as in
+    fminbound.  Stops once the bracket around the best point is about tol
+    wide.  Returns the best evaluated (value, x), ties to the smaller x,
+    and the final bracket (a, b); an end of [a, b] is never evaluated."""
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    best = (fx, x)
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return best, a, b
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # Accept the parabola's vertex only inside the bracket and for a
+            # step under half the one before last, else fall back to golden.
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+                golden = False
+        if golden:
+            e = a - x if x >= xm else b - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        best = min(best, (fu, u))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-            if (fd, d) < best:
-                best = (fd, d)
-    return best
-
-
-def _log_grid(lo: float, hi: float, count: int) -> list[float]:
-    ratio = hi / lo
-    return [lo * ratio ** (i / (count - 1)) for i in range(count)]
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 @functools.lru_cache(maxsize=256)
@@ -324,26 +360,19 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str,
         return -lower_value_from_inner(c3, shape, report.best_value)
 
     lo, hi = cfg.c3_bracket
-    edge_fail = False
-    for attempt in (0, 1):
-        grid = _log_grid(lo, hi, _COARSE_POINTS)
-        vals = [signed_objective(c) for c in grid]
-        i_best = min(range(len(grid)), key=lambda i: (vals[i], i))
-        at_edge = i_best in (0, len(grid) - 1)
-        if not at_edge or attempt == 1:
-            edge_fail = at_edge
-            break
-        if i_best == 0:
-            lo = lo / 4.0
-        else:
-            hi = hi * 4.0
-
-    a = grid[max(i_best - 1, 0)]
-    b = grid[min(i_best + 1, len(grid) - 1)]
-    refined_val, refined_c3 = _golden_section(signed_objective, a, b, cfg.outer_tol)
-
-    candidates = [(vals[i], grid[i]) for i in range(len(grid))]
-    candidates.append((refined_val, refined_c3))
+    t_lo, t_hi = math.log(lo / 4.0), math.log(4.0 * hi)
+    (best_val, best_t), a, b = _brent_minimize(
+        lambda t: signed_objective(math.exp(t)), t_lo, t_hi, cfg.outer_tol
+    )
+    candidates = [(best_val, math.exp(best_t))]
+    # Brent never evaluates an end of its interval.  A final bracket at the
+    # upper end means the optimum lies at or past it: 4 * hi itself becomes
+    # a candidate and the result is non-converged.  At the lower end the
+    # c3 -> 0 limit below is the candidate, and the result is non-converged
+    # unless the limit wins.
+    upper_edge = b == t_hi
+    if upper_edge:
+        candidates.append((signed_objective(4.0 * hi), 4.0 * hi))
     # The c3 -> 0 limit is exactly the simple bound; listing it with c3 = 0
     # both enforces never-worse-than-limit and wins ties at the smallest c3.
     limit_value = simple_upper(shape).value if upper else simple_lower(shape).value
@@ -352,11 +381,11 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str,
     best_val, best_c3 = min(candidates)
     if best_c3 == 0.0:
         params = _limit_params(shape.beta)
-        converged = not (edge_fail and i_best == len(grid) - 1)
+        converged = not upper_edge
     else:
         report = solve(best_c3)
         params = report.best_params
-        converged = report.converged and not edge_fail
+        converged = report.converged and not upper_edge and a != t_lo
 
     value = best_val if upper else -best_val
     return BoundResult(

@@ -18,6 +18,8 @@ import math
 import numpy as np
 from mpmath import mp
 
+from ric_bounds import minimize_inner, simple_lower, simple_upper
+from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
 from ric_bounds.specfun import _TRAP_H, _TRAP_NO_CORRECTION, _TRAP_TERMS, _TWO_PI_OVER_H
 
 
@@ -365,3 +367,85 @@ def extreme_gram_eigs_unscreened(gram_full: np.ndarray, supports: np.ndarray) ->
         lam_min = min(lam_min, float(eigs[:, 0].min()))
         lam_max = max(lam_max, float(eigs[:, -1].max()))
     return lam_min, lam_max
+
+
+# --- the replaced c3 search ---------------------------------------------------
+#
+# The package once found c3 by a log scan, a widening rule and golden
+# section.  Brent's method replaced them; it follows another path, so the
+# tests compare its results with this search's within the inner solve's
+# noise instead of bit for bit.
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f, a, b, tol):
+    """Golden-section minimize on [a, b]; returns the best evaluated (value, x)."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    best = min((fc, c), (fd, d))
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+            if (fc, c) < best:
+                best = (fc, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+            if (fd, d) < best:
+                best = (fd, d)
+    return best
+
+
+def optimize_outer_scan(shape, cfg, upper: bool) -> tuple[float, float, bool]:
+    """The c3 search as a 25-point log scan of ``cfg.c3_bracket``, widened 4x
+    once when the best point sits on an edge, then golden section with
+    absolute width ``cfg.outer_tol`` between the best point's neighbours.
+    Returns (value, c3, converged) like ``optimizer._optimize_outer``; c3
+    is 0 when the c3 -> 0 limit (the simple bound) wins."""
+    reports = {}
+
+    def signed_objective(c3):
+        if c3 not in reports:
+            reports[c3] = minimize_inner(c3, shape.beta, cfg)
+        best = reports[c3].best_value
+        if upper:
+            return upper_value_from_inner(c3, shape, best)
+        return -lower_value_from_inner(c3, shape, best)
+
+    def log_grid(lo, hi, count):
+        ratio = hi / lo
+        return [lo * ratio ** (i / (count - 1)) for i in range(count)]
+
+    lo, hi = cfg.c3_bracket
+    edge_fail = False
+    for attempt in (0, 1):
+        grid = log_grid(lo, hi, 25)
+        vals = [signed_objective(c) for c in grid]
+        i_best = min(range(len(grid)), key=lambda i: (vals[i], i))
+        at_edge = i_best in (0, len(grid) - 1)
+        if not at_edge or attempt == 1:
+            edge_fail = at_edge
+            break
+        if i_best == 0:
+            lo = lo / 4.0
+        else:
+            hi = hi * 4.0
+
+    a = grid[max(i_best - 1, 0)]
+    b = grid[min(i_best + 1, len(grid) - 1)]
+    candidates = [(vals[i], grid[i]) for i in range(len(grid))]
+    candidates.append(_golden_section(signed_objective, a, b, cfg.outer_tol))
+    limit_value = simple_upper(shape).value if upper else simple_lower(shape).value
+    candidates.append((limit_value if upper else -limit_value, 0.0))
+
+    best_val, best_c3 = min(candidates)
+    if best_c3 == 0.0:
+        converged = not (edge_fail and i_best == len(grid) - 1)
+    else:
+        converged = reports[best_c3].converged and not edge_fail
+    return (best_val if upper else -best_val), best_c3, converged

@@ -249,9 +249,10 @@ def test_criterion_10_deterministic_sweep():
         "--max-evals", "4000",
     ]
     # Exit code 3 is expected: the lower family's optimum runs past the
-    # widened c3 bracket at the high-rho cells the reference grids omit,
-    # and those rows are annotated as non-converged.  The criterion is
-    # about byte determinism of the CSV, which must hold regardless.
+    # upper end of the searched c3 range at the high-rho cells the
+    # reference grids omit, and those rows are annotated as non-converged.
+    # The criterion is about byte determinism of the CSV, which must hold
+    # regardless.
     first = subprocess.run(argv, capture_output=True)
     second = subprocess.run(argv, capture_output=True)
     ok = first.stdout == second.stdout and len(first.stdout) > 0

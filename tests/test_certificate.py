@@ -5,14 +5,25 @@ from the erfc closed form at 50 digits (``oracles.lifted_value_mp``), a
 route disjoint from the package's erfcx path in doubles.  The reported
 value must equal it to 1e-13.  The inner solve must also be tight: at the
 reported c3, J at the reported (gamma, nu) may exceed min J, found by
-Newton on the analytic gradient, by at most 1e-10.  Cells won by the
-c3 -> 0 limit report the closed form and carry no (gamma, nu) to check.
+Newton on the analytic gradient, by at most 1e-10.  The outer search
+must have found a local optimum in c3: moving c3 by a factor 1 +- 1e-3 or
+1 +- 0.1, with the inner problem solved again, may improve the bound by at
+most inner_tol.  Cells won by the c3 -> 0 limit report the closed form and
+carry no (c3, gamma, nu) to check.
 """
+
+import math
 
 import pytest
 from mpmath import mp
 
-from ric_bounds import ProblemShape, i_uric_inner
+from ric_bounds import (
+    OptimizerConfig,
+    ProblemShape,
+    i_uric_inner,
+    lifted_lower_objective,
+    lifted_upper_objective,
+)
 
 from oracles import (
     CERT_DPS,
@@ -67,6 +78,24 @@ def test_inner_solves_are_tight(upper_grid, lower_grid):
             worst = max(worst, gap)
             assert -1e-30 <= gap <= INNER_GAP_TOL, (upper, alpha, beta, p, gap)
     print(f"worst inner gap over {len(cells)} cells: {worst:.2e}")
+
+
+def test_reported_c3_is_locally_optimal(upper_grid, lower_grid):
+    """No c3 * (1 +- 1e-3) or c3 * (1 +- 0.1), with (gamma, nu) solved
+    again, beats the reported bound by more than inner_tol."""
+    tol = OptimizerConfig().inner_tol
+    cells = _cells(upper_grid, lower_grid)
+    margins = {True: math.inf, False: math.inf}
+    for upper, alpha, beta, result in cells:
+        shape = ProblemShape(alpha, beta)
+        objective = lifted_upper_objective if upper else lifted_lower_objective
+        for factor in (1.0 - 0.1, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 + 0.1):
+            value = objective(result.params.c3 * factor, shape)
+            margin = value - result.value if upper else result.value - value
+            margins[upper] = min(margins[upper], margin)
+            assert margin >= -tol, (upper, alpha, beta, result.params.c3, factor, margin)
+    print(f"smallest margin over {len(cells)} cells: "
+          f"upper {margins[True]:.2e}, lower {margins[False]:.2e}")
 
 
 @pytest.mark.parametrize(

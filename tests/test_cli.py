@@ -252,8 +252,9 @@ class TestBoundCsvFormat:
 
 class TestBoundNonConvergence:
     def test_exit_3_with_value_still_printed(self, capsys):
-        """Past the tabulated regime the lower family does not converge
-        within the widened bracket; the bound must still print."""
+        """Past the tabulated regime the lower family's optimum lies at or
+        past the upper end of the searched c3 range; the bound must still
+        print."""
         code, out, _ = run_cli(
             ["bound", "--kind", "lower-lifted", "--alpha", "0.1", "--rho", "0.7"] + FAST,
             capsys,

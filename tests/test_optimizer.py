@@ -19,8 +19,9 @@ from ric_bounds import (
 )
 from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
 from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN, KIND_LOWER_LIFTED, KIND_UPPER_LIFTED
+from ric_bounds.cli import DEFAULT_ALPHAS, DEFAULT_RHOS
 
-from oracles import nelder_mead_lists
+from oracles import nelder_mead_lists, optimize_outer_scan
 
 # The inner config of the criterion-10 sweep argv (--multistart 2 ...).
 CRITERION_10_CONFIG = OptimizerConfig(
@@ -192,11 +193,81 @@ class TestSearchProperties:
             assert perturbed >= base - cfg.inner_tol
 
 
+class TestBrentMinimize:
+    TOL = 1e-6
+
+    def test_interior_minimum_within_tolerance(self):
+        seen = []
+
+        def f(t):
+            value = (t - 0.3) ** 2 + math.sin(t) ** 4
+            seen.append((value, t))
+            return value
+
+        best, a, b = optimizer._brent_minimize(f, -2.0, 3.0, self.TOL)
+        assert a < best[1] < b and b - a <= 2.0 * self.TOL
+        assert best == min(seen)
+        assert len(seen) < 30
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["falls-to-upper", "falls-to-lower"])
+    def test_monotone_keeps_the_far_end(self, slope):
+        """A monotone function leaves its descent end in the final bracket,
+        unevaluated; the outer search reads that as an edge optimum."""
+        lo, hi = -1.5, 2.0
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return -slope * t
+
+        (_fx, x), a, b = optimizer._brent_minimize(f, lo, hi, self.TOL)
+        end = hi if slope > 0 else lo
+        assert (b == hi) if slope > 0 else (a == lo)
+        assert abs(x - end) <= 2.0 * self.TOL
+        assert lo < min(seen) and max(seen) < hi
+
+    def test_ties_resolve_to_the_smaller_point(self):
+        seen = []
+
+        def plateau(t):
+            value = max(abs(t) - 1.0, 0.0)
+            seen.append((value, t))
+            return value
+
+        best, _a, _b = optimizer._brent_minimize(plateau, -4.0, 3.0, self.TOL)
+        assert sum(value == 0.0 for value, _t in seen) > 1
+        assert best == min(seen)
+
+
+class TestOuterSearchMatchesReference:
+    """Brent's search over log c3 against the scan, widen-once rule and
+    golden section it replaced (``oracles.optimize_outer_scan``) on the
+    30 default shapes: the same convergence flags, and a bound never worse
+    by more than the inner solve's noise."""
+
+    NOISE = 1e-9
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    def test_default_shapes(self, upper):
+        cfg = OptimizerConfig()
+        optimize = optimize_upper if upper else optimize_lower
+        for alpha in DEFAULT_ALPHAS:
+            for rho in DEFAULT_RHOS:
+                shape = ProblemShape.from_rho(alpha, rho)
+                result = optimize(shape, cfg)
+                ref_value, ref_c3, ref_converged = optimize_outer_scan(shape, cfg, upper)
+                worse = result.value - ref_value if upper else ref_value - result.value
+                where = (alpha, rho, result.params.c3, ref_c3)
+                assert result.converged == ref_converged, where
+                assert worse <= self.NOISE, (*where, worse)
+
+
 class TestEdgeBehavior:
     def test_high_rho_lower_reports_nonconvergence(self):
         """Past the tabulated regime the lower objective keeps creeping up
-        toward its c3 -> infinity limit; the widen-once rule must surface
-        that as converged=False while still returning a valid bound."""
+        toward its c3 -> infinity limit; a search whose final bracket ends
+        at the upper end of the widened c3 range must surface that as
+        converged=False while still returning a valid bound."""
         shape = ProblemShape.from_rho(0.1, 0.7)
         cfg = OptimizerConfig(multistart_grid=2, outer_tol=1e-3, inner_tol=1e-8, max_evals=4000)
         result = optimize_lower(shape, cfg)
