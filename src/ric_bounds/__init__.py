@@ -35,9 +35,7 @@ from .bounds_simple import (
 from .empirical import (
     EmpiricalEstimate,
     GaussianMatrix,
-    SupportSet,
     empirical_ric,
-    extremal_singular,
     sample_matrix,
 )
 from .optimizer import (
@@ -64,7 +62,6 @@ __all__ = [
     "ProblemShape",
     "ReferenceEntry",
     "SphBranch",
-    "SupportSet",
     "big_i_uric",
     "bt_relation",
     "empirical_ric",
@@ -73,7 +70,6 @@ __all__ = [
     "erfc",
     "erfcx",
     "erfinv",
-    "extremal_singular",
     "gamma_hat",
     "i_sph",
     "i_uric_inner",

@@ -18,15 +18,19 @@ of evaluation order and safe to fan out.
 Sampled supports come from the same kind of counter: counter c of a
 trial's sequence draws one uniform k-subset by Floyd's algorithm, run
 in numpy across a batch of counters, and the first `budget` distinct
-subsets in counter order are the trial's supports.
+subsets in counter order are the trial's supports.  Repeats are found
+by a uint64 colex-rank key, which is injective while C(n, k) < 2^64;
+only the rows that share a key are compared in full, so the result is
+exact when the key wraps too.
 
 Per-support extreme singular values come from the k x k Gram form of
 the submatrix (symmetric PSD eigenproblem); the Gram matrices are
 gathered from a single precomputed A^T A per trial.  Only the per-trial
-extremes are needed, so a batched Cholesky screen first discards every
-support that provably cannot beat the current extremes, and eigvalsh
-runs on the rest.  The reported extremes are exactly those of eigvalsh
-over all supports.
+extremes are needed, so the blocks with extreme diagonals in an evenly
+strided sample of the supports set incumbents, a batched Cholesky
+screen then discards every support that provably cannot beat the
+current extremes, and eigvalsh runs on the rest.  The reported extremes
+are exactly those of eigvalsh over all supports.
 """
 
 from __future__ import annotations
@@ -164,6 +168,24 @@ def extremal_singular(matrix: GaussianMatrix, support: SupportSet) -> tuple[floa
     return math.sqrt(max(float(eigs[0]), 0.0)), math.sqrt(max(float(eigs[-1]), 0.0))
 
 
+def _first_distinct(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row.
+
+    Equal rows must have equal keys.  A row whose key no other row has is
+    a first occurrence; only the rows that share a key are compared in
+    full, as opaque byte strings."""
+    ordered = np.sort(key)
+    shared = np.isin(key, ordered[1:][ordered[1:] == ordered[:-1]])
+    keep = ~shared
+    rest = np.flatnonzero(shared)
+    if rest.size:
+        sub = rows[rest]
+        _, first = np.unique(sub.view(np.dtype((np.void, sub.itemsize * sub.shape[1]))).ravel(),
+                             return_index=True)
+        keep[rest[first]] = True
+    return np.flatnonzero(keep)
+
+
 def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.ndarray:
     """First `budget` distinct supports of the deterministic (seed, trial)
     sequence.  Prefixes of the same sequence are nested, so growing the
@@ -171,26 +193,31 @@ def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.
 
     Counter c of the sequence draws Floyd's uniform k-subset of {0..n-1}
     from the mixer state keyed by (base, c); a batch of counters runs the
-    k Floyd steps as column operations.  The budget-th distinct support
-    must come from a counter below 50 * budget + 1000."""
+    k Floyd steps on a (k, batch) array, one row per step.  Repeats are
+    keyed by the colex rank sum_i C(s_i, i+1) of the sorted row, which
+    wraps in uint64 and is injective while C(n, k) < 2^64.  The budget-th
+    distinct support must come from a counter below 50 * budget + 1000."""
     base = _mix64_array(_trial_base(seed, trial) ^ np.uint64(0x5851F42D4C957F2D))
+    binom = np.array(
+        [[math.comb(s, i + 1) & _MASK64 for s in range(n)] for i in range(k)], dtype=np.uint64
+    )
     limit = 50 * budget + 1000
     found = np.empty((0, k), dtype=np.intp)
     start = 0
     stop = min(budget + budget // 4 + 64, limit)
     while True:
         state = _mix64_array(base ^ _mix64_array(np.arange(start, stop, dtype=np.uint64)))
-        chosen = np.empty((stop - start, k), dtype=np.uint64)
+        chosen = np.empty((k, stop - start), dtype=np.intp)
         for i, j in enumerate(range(n - k, n)):
             state = _mix64_array(state)
-            t = state % np.uint64(j + 1)
-            taken = (chosen[:, :i] == t[:, None]).any(axis=1)
-            chosen[:, i] = np.where(taken, np.uint64(j), t)
-        rows = np.concatenate([found, np.sort(chosen.astype(np.intp), axis=1)])
-        # Rows viewed as opaque byte strings: equal bytes, equal support.
-        keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
-        _, first = np.unique(keys, return_index=True)
-        found = rows[np.sort(first)]
+            t = (state % np.uint64(j + 1)).astype(np.intp)
+            taken = np.zeros(t.shape[0], dtype=bool)
+            for c in range(i):
+                taken |= chosen[c] == t
+            chosen[i] = np.where(taken, j, t)
+        rows = np.concatenate([found, np.sort(chosen.T, axis=1)])
+        key = sum(binom[i][col] for i, col in enumerate(rows.T))
+        found = rows[_first_distinct(rows, key)]
         if found.shape[0] >= budget:
             return found[:budget]
         if stop == limit:
@@ -200,7 +227,7 @@ def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.
         start, stop = stop, min(2 * stop, limit)
 
 
-# Supports per screened chunk, and incumbents per side and chunk.
+# Supports per screened chunk, and incumbents per side.
 _CHUNK = 4096
 _INCUMBENTS = 32
 
@@ -225,16 +252,19 @@ def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[flo
     """(min, max) eigenvalue over all k x k Gram blocks indexed by supports.
 
     Exactly the extremes of per-block eigvalsh, found without running
-    eigvalsh on most blocks.  Per chunk, the blocks with the smallest and
-    the largest diagonal entries (lambda_min <= min diag <= max diag <=
-    lambda_max) go through eigvalsh first and, with the extremes so far,
-    give incumbents lo and hi.  A block is skipped when
-    Cholesky proves it cannot beat either: G - (lo + margin) I and
-    (hi - margin) I - G both factor.  The margin, 1e-9 times the largest
-    diagonal entry of A^T A, is absolute, so it holds when lambda_min is
-    near 0, and it is orders of magnitude above the rounding error of
-    either the factorization or eigvalsh.  The remaining blocks go
-    through the same eigvalsh."""
+    eigvalsh on most blocks.  First, among an evenly strided sample of at
+    most about _CHUNK supports, the blocks with the smallest and the
+    largest diagonal entries (lambda_min <= min diag <= max diag <=
+    lambda_max) go through eigvalsh and give incumbents lo and hi.  Then,
+    chunk by chunk, a block is skipped when Cholesky proves it cannot
+    beat the current extremes: G - (lo + margin) I and (hi - margin) I - G
+    both factor.  The margin, 1e-9 times the largest diagonal entry of
+    A^T A, is absolute, so it holds when lambda_min is near 0, and it is
+    orders of magnitude above the rounding error of either the
+    factorization or eigvalsh.  The remaining blocks go through the same
+    eigvalsh, so the extremes do not depend on which incumbents were
+    chosen."""
+    n = gram_full.shape[0]
     diag = np.diagonal(gram_full)
     margin = 1e-9 * float(diag.max())
     lam_min = math.inf
@@ -246,24 +276,23 @@ def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[flo
         lam_min = min(lam_min, float(eigs[:, 0].min()))
         lam_max = max(lam_max, float(eigs[:, -1].max()))
 
+    step = -(-supports.shape[0] // _CHUNK)
+    sample = supports[::step]
+    count = min(_INCUMBENTS, sample.shape[0])
+    solve(sample[np.union1d(
+        np.argpartition(diag[sample].min(axis=1), count - 1)[:count],
+        np.argpartition(-diag[sample].max(axis=1), count - 1)[:count],
+    )])
+
     for start in range(0, supports.shape[0], _CHUNK):
         block = supports[start : start + _CHUNK]
-        # Column-major indices: the gathered blocks come out (k, k, B),
-        # so each Cholesky step is a few vector ops.
+        # Column-major flat indices into n x n: the gathered blocks come
+        # out (k, k, B), so each Cholesky step is a few vector ops.
         cols = np.ascontiguousarray(block.T)
-        count = min(_INCUMBENTS, block.shape[0])
-        incumbents = np.union1d(
-            np.argpartition(diag[cols].min(axis=0), count - 1)[:count],
-            np.argpartition(-diag[cols].max(axis=0), count - 1)[:count],
-        )
-        solve(block[incumbents])
-
-        grams = gram_full[cols[:, None, :], cols[None, :, :]]
-        eye = np.eye(block.shape[1])[:, :, None]
-        above_lo = _cholesky_succeeds(grams - (lam_min + margin) * eye)
-        below_hi = _cholesky_succeeds((lam_max - margin) * eye - grams)
+        flat = cols[:, None, :] * n + cols[None, :, :]
+        above_lo = _cholesky_succeeds(np.take(gram_full - (lam_min + margin) * np.eye(n), flat))
+        below_hi = _cholesky_succeeds(np.take((lam_max - margin) * np.eye(n) - gram_full, flat))
         skip = above_lo & below_hi
-        skip[incumbents] = True
         if not skip.all():
             solve(block[~skip])
     return lam_min, lam_max

@@ -6,20 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from ric_bounds import (
-    GaussianMatrix,
-    SupportSet,
-    empirical_ric,
-    extremal_singular,
-    sample_matrix,
-)
+from ric_bounds import GaussianMatrix, empirical_ric, sample_matrix
 from ric_bounds.empirical import (
     _CHUNK,
     _INCUMBENTS,
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
+    SupportSet,
     _extreme_gram_eigs,
+    _first_distinct,
     _sampled_supports,
+    extremal_singular,
 )
 
 from oracles import (
@@ -204,7 +201,10 @@ class TestSamplerMatchesReference:
         "n,k,budget",
         # (12, 3, 219): C(12, 3) = 220, so the tail of the sequence is
         # almost all repeats and the first batch cannot finish the draw.
-        [(80, 8, 20000), (40, 4, 5000), (12, 6, 900), (24, 3, 50), (24, 3, 400), (12, 3, 219)],
+        # (200, 40, 300) and (300, 150, 200): C(n, k) >= 2^64, so the
+        # colex key wraps.
+        [(80, 8, 20000), (40, 4, 5000), (12, 6, 900), (24, 3, 50), (24, 3, 400), (12, 3, 219),
+         (200, 40, 300), (300, 150, 200)],
     )
     @pytest.mark.parametrize("seed,trial", [(0, 0), (1, 3), (7, 19)])
     def test_bit_for_bit(self, n, k, budget, seed, trial):
@@ -212,6 +212,15 @@ class TestSamplerMatchesReference:
         want = sampled_supports_loop(n, k, budget, seed, trial)
         assert got.dtype == want.dtype == np.intp
         assert np.array_equal(got, want)
+
+    def test_shared_key_resolves_by_full_rows(self):
+        """With one key for every row, all rows are compared in full, and
+        the first occurrences are those of np.unique on the row bytes."""
+        rows = np.random.default_rng(5).integers(0, 4, size=(500, 3)).astype(np.intp)
+        got = _first_distinct(rows, np.zeros(rows.shape[0], dtype=np.uint64))
+        _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * 3))).ravel(),
+                             return_index=True)
+        assert np.array_equal(got, np.sort(first))
 
     @pytest.mark.parametrize("n,k", [(12, 3), (6, 2)])
     def test_budget_beyond_support_count_raises(self, n, k):
@@ -258,20 +267,35 @@ class TestScreenMatchesReference:
         if duplicate and k > 1:
             assert abs(got[0]) < 1e-12 * gram.diagonal().max()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_independent_of_support_order(self, seed):
+        """The incumbents come from a strided sample, so they change with
+        the order of the supports; the extremes must not."""
+        gram = _random_gram(5, 60, seed)
+        supports = np.array(list(itertools.islice(itertools.combinations(range(60), 4),
+                                                  3 * _CHUNK + 7)), dtype=np.intp)
+        want = _extreme_gram_eigs(gram, supports)
+        assert _extreme_gram_eigs(gram, supports[::-1]) == want
+        shuffled = supports[np.random.default_rng(seed).permutation(supports.shape[0])]
+        assert _extreme_gram_eigs(gram, shuffled) == want
+        assert want == extreme_gram_eigs_unscreened(gram, supports)
+
     def test_screen_skips_most_blocks(self, monkeypatch):
-        """At the sampled benchmark shape, few blocks reach eigvalsh."""
-        matrix = sample_matrix(40, 80, seed=0)
-        gram = matrix.entries.T @ matrix.entries
-        supports = _sampled_supports(80, 8, 20000, seed=0, trial=0)
-        solved = []
-        eigvalsh = np.linalg.eigvalsh
+        """At both benchmark shapes, few blocks reach eigvalsh."""
+        exhaustive = np.array(list(itertools.combinations(range(40), 4)), dtype=np.intp)
+        sampled = _sampled_supports(80, 8, 20000, seed=0, trial=0)
+        for m, n, supports in ((40, 80, sampled), (20, 40, exhaustive)):
+            matrix = sample_matrix(m, n, seed=0)
+            gram = matrix.entries.T @ matrix.entries
+            solved = []
+            eigvalsh = np.linalg.eigvalsh
 
-        def counting(a):
-            solved.append(a.shape[0])
-            return eigvalsh(a)
+            def counting(a):
+                solved.append(a.shape[0])
+                return eigvalsh(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        got = _extreme_gram_eigs(gram, supports)
-        assert sum(solved) < 0.05 * supports.shape[0]
-        monkeypatch.undo()
-        assert got == extreme_gram_eigs_unscreened(gram, supports)
+            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            got = _extreme_gram_eigs(gram, supports)
+            assert sum(solved) < 0.05 * supports.shape[0]
+            monkeypatch.undo()
+            assert got == extreme_gram_eigs_unscreened(gram, supports)
