@@ -32,6 +32,9 @@ cancellation-free path
 which follows from r - a^2/2 = -2 nu gamma and stays finite for
 parameters where e^{-c3 nu} and erfc(a/sqrt(2)) individually underflow.
 log(M) is then log1p(M - 1), accurate even when M is within rounding of 1.
+The difference in parentheses cancels as p -> 0; the derivative path of
+:func:`i_uric_inner`, which the default inner solve uses, sums it as a
+series there instead (:func:`_scaled_excess`).
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from dataclasses import dataclass
 
 from .bounds_simple import ProblemShape, _check_beta
 from .specfun import erfcx
+
+_SQRT_PI = math.sqrt(math.pi)
+_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 
 class SphBranch(enum.Enum):
@@ -77,10 +83,11 @@ def gamma_hat(c3: float, alpha: float, branch: SphBranch) -> float:
     """Stationary point (2 c3 +- sqrt(4 c3^2 + 16 alpha))/8 of the spherical term.
 
     The PLUS root is positive and exceeds c3/2; the MINUS root is
-    negative.  Their product is -alpha/4.  The c3 -> 0 limits are
-    +-sqrt(alpha)/2; c3 == 0 itself is rejected because the assembled
-    objectives have a removable singularity there handled by the
-    closed-form limit, not by this function.
+    negative.  Their product is -alpha/4, which gives the MINUS root as
+    -2 alpha/(2 c3 + sqrt(4 c3^2 + 16 alpha)) without cancellation.  The
+    c3 -> 0 limits are +-sqrt(alpha)/2; c3 == 0 itself is rejected because
+    the assembled objectives have a removable singularity there handled
+    by the closed-form limit, not by this function.
     """
     if not c3 > 0.0:
         raise ValueError(f"gamma_hat requires c3 > 0, got {c3!r}")
@@ -89,7 +96,9 @@ def gamma_hat(c3: float, alpha: float, branch: SphBranch) -> float:
     root = math.sqrt(4.0 * c3 * c3 + 16.0 * alpha)
     if branch is SphBranch.PLUS:
         return (2.0 * c3 + root) / 8.0
-    return (2.0 * c3 - root) / 8.0
+    # The difference 2 c3 - root cancels as c3 grows and rounds to 0 at
+    # c3 >= 2^26 (alpha = 0.1).
+    return -2.0 * alpha / (2.0 * c3 + root)
 
 
 def i_sph(c3: float, alpha: float, branch: SphBranch) -> float:
@@ -104,14 +113,6 @@ def i_sph(c3: float, alpha: float, branch: SphBranch) -> float:
     if ratio >= 1.0:  # impossible for valid inputs on either branch
         raise ArithmeticError(f"log argument not positive at c3={c3}, alpha={alpha}")
     return gh - (alpha / (2.0 * c3)) * math.log1p(-ratio)
-
-
-def _moment_term_stable(c3: float, gamma: float, nu: float) -> float:
-    """First moment summand e^{-c3 nu}/sqrt(1-2p) * erfc(a/sqrt(2)) via
-    the underflow-free erfcx path. Assumes feasibility was checked."""
-    omp = 1.0 - c3 / (2.0 * gamma)  # = 1 - 2p
-    s = 2.0 * nu * gamma
-    return erfcx(math.sqrt(s * omp)) * math.exp(-s) / math.sqrt(omp)
 
 
 def _log_moment(c3: float, gamma: float, nu: float) -> float:
@@ -129,6 +130,34 @@ def _log_moment(c3: float, gamma: float, nu: float) -> float:
     return math.log1p(d)
 
 
+def _scaled_excess(two_p: float, root: float, s: float, z2: float,
+                   e1: float, e2: float) -> float:
+    """e^s (M - 1) = erfcx(z1)/sqrt(1-2p) - erfcx(z2) from e1 = erfcx(z1),
+    e2 = erfcx(z2), root = sqrt(1-2p) and z1 = z2 root.
+
+    With eps = 1 - root = 2p/(1 + root), the difference is
+    (erfcx(z1) - e2 + eps e2)/root.  As p -> 0 it cancels, and the rounding
+    errors of e1 and e2 reach J divided by c3.  There it is summed as the Taylor
+    series of erfcx about z2 in steps of -h, h = z2 - z1 = z2 eps, whose
+    terms a_k = erfcx^(k)(z2) (-h)^k/k! follow from
+    erfcx' = 2 z erfcx - 2/sqrt(pi) as a_{k+1} = -2h/(k+1) (z2 a_k - h a_{k-1}).
+    The limits on eps and s eps = z2 h keep the terms shrinking from the
+    first.
+    """
+    eps = two_p / (1.0 + root)
+    if eps > 0.25 or s * eps > 1.0:
+        return e1 / root - e2
+    h = z2 * eps
+    prev, term = e2, -h * (2.0 * z2 * e2 - _TWO_OVER_SQRT_PI)
+    acc = eps * e2 + term
+    k = 1
+    while abs(term) > 1e-17 * acc:
+        prev, term = term, -2.0 * h / (k + 1) * (z2 * term - h * prev)
+        acc += term
+        k += 1
+    return acc / root
+
+
 def big_i_uric(params: LiftedParams) -> float:
     """Exponential moment E exp(c3 * max(h^2/(4 gamma) - nu, 0)), h ~ N(0,1).
 
@@ -142,18 +171,75 @@ def big_i_uric(params: LiftedParams) -> float:
     return 1.0 + math.expm1(_log_moment(params.c3, params.gamma, params.nu))
 
 
-def i_uric_inner(c3: float, beta: float, gamma: float, nu: float) -> float:
-    """Inner objective nu*beta + gamma + log(M)/c3 for feasible (gamma, nu).
+def i_uric_inner(c3: float, beta: float, gamma: float, nu: float, *,
+                 derivatives: bool = False):
+    """Inner objective J = nu*beta + gamma + log(M)/c3 for feasible (gamma, nu).
 
     Identical for the upper and lower families (the sign flip of the
     linear form over a symmetric set leaves the moment unchanged).
+
+    With ``derivatives=True`` returns ``(J, (J_gamma, J_nu), (J_gamma_gamma,
+    J_gamma_nu, J_nu_nu))`` from the same two erfcx calls.  This J takes
+    M - 1 from :func:`_scaled_excess`, which avoids the cancellation of
+    the 4-argument path at small p; elsewhere the two are the same float.
+    With b = 2 sqrt(gamma nu) the clipping threshold,
+    the derivatives come from the tilted tail moments
+
+        T = E[e^{c3 (h^2/(4 gamma) - nu)}; |h| > b] = e^{-s} sigma erfcx(z1),
+        S = E[h^2 ...; |h| > b] = e^{-s} sigma^3 (erfcx(z1) + 2 z1/sqrt(pi)),
+        Q = E[h^4 ...; |h| > b] = e^{-s} sigma^5 (3 erfcx(z1)
+                                                  + (2/sqrt(pi)) (2 z1^3 + 3 z1)),
+
+    sigma = (1-2p)^{-1/2}, s = 2 nu gamma, z1 = sqrt(s (1-2p)), as
+    J_nu = beta - T/M and J_gamma = 1 - S/(4 gamma^2 M).  The Hessian adds
+    the boundary terms of T and S at |h| = b, where the density is
+    phi(b) = e^{-s}/sqrt(2 pi).
     """
     if not c3 > 0.0:
         raise ValueError(f"i_uric_inner requires c3 > 0, got {c3!r}")
     if nu < 0.0:
         raise ValueError(f"i_uric_inner requires nu >= 0, got {nu!r}")
     _check_beta(beta)
-    return nu * beta + gamma + _log_moment(c3, gamma, nu) / c3
+    if not derivatives:
+        return nu * beta + gamma + _log_moment(c3, gamma, nu) / c3
+    if not nu > 0.0:  # J_nu_nu grows like nu^{-1/2} as nu -> 0
+        raise ValueError(f"i_uric_inner derivatives require nu > 0, got {nu!r}")
+
+    two_p = c3 / (2.0 * gamma)
+    omp = 1.0 - two_p
+    if not omp > 0.0:
+        raise ValueError(
+            f"moment diverges: requires c3/(4 gamma) < 1/2, got c3={c3}, gamma={gamma}"
+        )
+    s = 2.0 * nu * gamma
+    z2 = math.sqrt(s)
+    root = math.sqrt(omp)
+    z1 = z2 * root
+    e1 = erfcx(z1)
+    e2 = erfcx(z2)
+    w = math.exp(-s)
+    d = w * _scaled_excess(two_p, root, s, z2, e1, e2)  # M - 1
+    value = nu * beta + gamma + math.log1p(d) / c3
+
+    m = 1.0 + d
+    t = w * e1 / (root * m)  # T/M
+    rest = (1.0 - w * e2) / m  # 1 - T/M = P(|h| <= b)/M
+    # sigma^2 = 1/omp <= 2^53, since omp is 1 - c3/(2 gamma) rounded and
+    # positive, so the sigma^3 and sigma^5 factors, applied to T/M <= 1
+    # one sigma^2 at a time, stay finite.
+    sig2 = 1.0 / omp
+    g2 = gamma * gamma
+    u = t * sig2 * (1.0 + _TWO_OVER_SQRT_PI * z1 / e1) / (4.0 * g2)  # S/(4 gamma^2 M)
+    q = (t * sig2 * sig2 * (3.0 + _TWO_OVER_SQRT_PI * z1 * (2.0 * z1 * z1 + 3.0) / e1)
+         / (16.0 * g2 * g2))  # Q/(16 gamma^4 M)
+    fb = w * z2 / (_SQRT_PI * m)  # phi(b) b/M
+    grad = (1.0 - u, beta - t)
+    hess = (
+        c3 * (q - u * u) + 2.0 * u / gamma + fb * nu / g2,
+        c3 * u * rest + fb / gamma,
+        c3 * t * rest + fb / nu,
+    )
+    return value, grad, hess
 
 
 def upper_value_from_inner(c3: float, shape: ProblemShape, inner_value: float) -> float:

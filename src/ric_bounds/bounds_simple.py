@@ -77,8 +77,7 @@ class BoundResult:
 
     ``params`` carries the achieving (c3, gamma, nu) for the lifted kinds
     and is absent for the closed-form kinds.  ``evaluations`` counts the
-    inner objective evaluations run by this call (0 for closed forms);
-    inner solves reused from a shared map are not counted again.
+    inner objective evaluations of all inner solves (0 for closed forms).
     """
 
     kind: str

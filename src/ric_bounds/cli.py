@@ -19,9 +19,7 @@ are still printed).
 
 All output is deterministic for identical invocations: floats render
 with %.6g, nothing timestamps, and sweep cells are computed one after
-another in grid order.  The two lifted solves at one shape (one sweep
-(alpha, rho) pair, or one empirical run) share their inner solves
-through one map, which a sweep clears before the next shape.
+another in grid order.
 """
 
 from __future__ import annotations
@@ -77,29 +75,32 @@ def _config_from_args(args) -> OptimizerConfig:
     )
 
 
-def _compute_bound(kind: str, shape: ProblemShape, config: OptimizerConfig,
-                   inner: dict | None = None) -> BoundResult:
+def _compute_bound(kind: str, shape: ProblemShape, config: OptimizerConfig) -> BoundResult:
     if kind == KIND_UPPER_SIMPLE:
         return simple_upper(shape)
     if kind == KIND_LOWER_SIMPLE:
         return simple_lower(shape)
     if kind == KIND_UPPER_LIFTED:
-        return optimize_upper(shape, config, inner=inner)
-    return optimize_lower(shape, config, inner=inner)
+        return optimize_upper(shape, config)
+    return optimize_lower(shape, config)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = OptimizerConfig()
-    parser.add_argument("--inner-tol", type=float, default=defaults.inner_tol)
+    parser.add_argument("--inner-tol", type=float, default=defaults.inner_tol,
+                        help="inner stop: Newton decrement bound on J - min J, or the "
+                             "simplex value spread with --multistart N >= 2")
     parser.add_argument("--outer-tol", type=float, default=defaults.outer_tol,
                         help="width in log c3 (a relative width in c3) at which the "
                              "c3 search stops")
     parser.add_argument("--multistart", type=int, default=defaults.multistart_grid,
-                        help="inner start points per axis: 1 starts one simplex at the "
-                             "c3 -> 0 optimum, N >= 2 starts N x N from a log grid")
+                        help="inner start points per axis: 1 runs one damped Newton solve "
+                             "from the c3 -> 0 optimum, N >= 2 runs N x N Nelder-Mead "
+                             "simplexes from a log grid")
     parser.add_argument("--c3-min", type=float, default=defaults.c3_bracket[0])
     parser.add_argument("--c3-max", type=float, default=defaults.c3_bracket[1])
-    parser.add_argument("--max-evals", type=int, default=defaults.max_evals)
+    parser.add_argument("--max-evals", type=int, default=defaults.max_evals,
+                        help="cap on objective evaluations per inner solve")
 
 
 def _meta(args, fields: tuple[str, ...]) -> dict:
@@ -185,12 +186,11 @@ def _row_csv(row: dict) -> str:
     )
 
 
-def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig,
-                inner: dict) -> dict:
+def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) -> dict:
     reference = reference_for_kind(kind, alpha, rho)
     try:
         shape = ProblemShape.from_rho(alpha, rho)
-        result = _compute_bound(kind, shape, config, inner)
+        result = _compute_bound(kind, shape, config)
     except ValueError as exc:
         return _row_dict(alpha, rho, kind, None, reference, error=str(exc))
     return _row_dict(alpha, rho, kind, result, reference)
@@ -199,12 +199,7 @@ def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig,
 def _cmd_sweep(args, out) -> int:
     config = _config_from_args(args)
     kinds = [k for k in BOUND_KINDS if k in set(args.kinds)]
-    rows = []
-    inner: dict = {}  # inner solves shared by the lifted kinds of one shape
-    for a in args.alphas:
-        for r in args.rhos:
-            inner.clear()
-            rows += [_sweep_cell(a, r, k, config, inner) for k in kinds]
+    rows = [_sweep_cell(a, r, k, config) for a in args.alphas for r in args.rhos for k in kinds]
 
     failed = [r for r in rows if r.get("error") is not None or not r["converged"]]
     if args.format == "json":
@@ -237,12 +232,11 @@ def _cmd_empirical(args, out) -> int:
     config = _config_from_args(args)
     uric, lric = empirical_ric(m, n, k, args.trials, args.support_budget, args.seed)
 
-    inner: dict = {}
     bounds = {
         KIND_UPPER_SIMPLE: simple_upper(shape),
-        KIND_UPPER_LIFTED: optimize_upper(shape, config, inner=inner),
+        KIND_UPPER_LIFTED: optimize_upper(shape, config),
         KIND_LOWER_SIMPLE: simple_lower(shape),
-        KIND_LOWER_LIFTED: optimize_lower(shape, config, inner=inner),
+        KIND_LOWER_LIFTED: optimize_lower(shape, config),
     }
     upper_ok = uric.mean <= bounds[KIND_UPPER_LIFTED].value + args.slack
     lower_ok = lric.mean >= bounds[KIND_LOWER_LIFTED].value - args.slack

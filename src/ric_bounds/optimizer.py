@@ -1,22 +1,30 @@
-"""Derivative-free nested optimization of the lifted bound objectives.
+"""Nested optimization of the lifted bound objectives.
 
 Two levels:
 
 * inner: minimize the 2-D objective J(c3, beta, gamma, nu) over
-  gamma > c3/2, nu >= 0 with a Nelder-Mead simplex in the unconstrained
-  coordinates (u, v), gamma = c3/2 + e^u, nu = e^v.  The
-  reparameterization enforces feasibility by construction, so the
-  moment-divergence boundary p = c3/(4 gamma) = 1/2 is never crossed.
-  One start suffices.  J is jointly convex on gamma > c3/2, nu >= 0 (a
-  log-partition of functions convex in (gamma, nu)), and its minimum is
-  interior: at nu = 0, dJ/dnu = beta - 1 < 0, and J -> +inf as
-  gamma -> c3/2, as gamma -> inf and as nu -> inf.  (u, v) -> (gamma, nu)
-  is a diffeomorphism onto that interior, so the simplex's objective has
-  one local minimum.  The start is the analytic c3 -> 0 optimum,
-  gamma - c3/2 = g0 = tail_term(beta)/2 and
+  gamma > c3/2, nu >= 0.  J is jointly convex there (a log-partition of
+  functions convex in (gamma, nu)), and its minimum is interior: at
+  nu = 0, dJ/dnu = beta - 1 < 0, and J -> +inf as gamma -> c3/2, as
+  gamma -> inf and as nu -> inf.  The default solve is a damped Newton
+  method in (delta, nu), delta = gamma - c3/2, on the closed-form
+  gradient and Hessian that ``i_uric_inner(..., derivatives=True)``
+  returns from the same two erfcx calls as one value of J.  It starts at
+  the analytic c3 -> 0 optimum, delta = g0 = tail_term(beta)/2 and
   nu = optimal_nu(beta)^2 / (4 (c3/2 + g0)), so the threshold
-  2 sqrt(gamma nu) is the c3 -> 0 tail quantile.  multistart_grid >= 2
-  searches from a log grid of starts instead.
+  2 sqrt(gamma nu) is the c3 -> 0 tail quantile.  Each step stops short
+  of delta = 0 and nu = 0 (fraction to the boundary) and is halved until
+  J falls enough (Armijo).  The solve has converged, the meaning of
+  ``converged``, once the Newton decrement lambda^2 = g' H^{-1} g, which
+  estimates 2 (J - min J), satisfies lambda^2/2 <= inner_tol; it then
+  takes that last Newton step too, which leaves J within rounding of
+  min J.  Far out in c3 the c3 -> 0 start can stall where e^{-2 nu gamma}
+  underflows and J has no curvature; a solve that ends non-converged
+  with budget left is run once more from the c3 -> inf optimum,
+  delta = beta/(2 c3), nu = (ln c3 + ln((1-beta)/beta) - ln(beta)/2)/c3,
+  and the lower of the two results is kept.
+  multistart_grid >= 2 instead runs derivative-free Nelder-Mead simplexes
+  in (u, v) = (log delta, log nu) from an N x N log grid of starts.
 
 * outer: one Brent minimization (golden-section plus parabolic steps,
   derivative-free) over t = log c3 on [log(lo/4), log(4 hi)], where
@@ -32,16 +40,9 @@ Two levels:
   at c3 = 0 itself, which is a removable singularity of the objective.
 
 Everything is deterministic: fixed start points, no randomized restarts,
-and ties between equal-valued optima resolve to the smallest c3.
-
-Both families minimize the same J(c3, beta, .), so an upper and a lower
-solve at one shape can share inner solves: pass the same dict as
-``inner`` to both.  It maps (c3, beta, config) to the inner report, so
-a map reused at another beta or config only misses.  Because inner
-solves are deterministic, a shared map changes no value, parameter or
-flag; only ``BoundResult.evaluations`` drops, since it counts the
-evaluations run by that call.  The map grows with every solve; the
-caller decides how long to keep it.
+and ties between equal-valued optima resolve to the smallest c3.  An
+inexact inner solve only raises J, which loosens both families, so every
+reported value is a valid bound.
 """
 
 from __future__ import annotations
@@ -74,26 +75,36 @@ _SQRT_EPS = math.sqrt(math.ulp(1.0))
 _SEED_LO = 1e-3
 _SEED_HI = 30.0
 
+# Newton line search: largest fraction of the way to delta = 0 or nu = 0
+# that one step may go, Armijo sufficient-decrease constant, and the step
+# length below which the search gives up.
+_TO_BOUNDARY = 0.99
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Search tolerances and budgets.
 
-    inner_tol: the inner simplex stops once its three values lie within
-        inner_tol of each other.  That bounds their spread, not the
-        distance to min J: one start at (c3, beta) = (4096, 0.5) stops
-        2.7e-10 above the 16-start (multistart_grid=4) result.
+    inner_tol: the default Newton inner solve has converged once the
+        Newton decrement satisfies lambda^2/2 <= inner_tol, a second-order
+        bound on J - min J, and then takes that last Newton step as well.
+        With multistart_grid >= 2 each simplex stops once
+        its three values lie within inner_tol of each other, which bounds
+        their spread, not the distance to min J.
     outer_tol: width in log c3, so a relative width in c3, at which the
         Brent search over c3 stops.
-    multistart_grid: inner starting points per axis.  1 (the default)
-        runs one simplex from the analytic c3 -> 0 optimum; N >= 2 runs
-        N**2 simplexes from an N x N log grid instead.
+    multistart_grid: 1 (the default) runs the Newton solve from the
+        analytic c3 -> 0 optimum; N >= 2 runs N**2 Nelder-Mead simplexes
+        from an N x N log grid instead.
     c3_bracket: (lo, hi) for c3; the outer search runs on the bracket
         widened 4x on each side, [lo/4, 4 hi].
-    max_evals: inner objective evaluation budget per inner solve, split
-        evenly over the multistart_grid**2 starts with at least 3 per
-        start (the initial simplex), so one solve spends at most
-        max(max_evals, 3 * multistart_grid**2) evaluations.
+    max_evals: cap on the evaluations of J per inner solve.  A Newton
+        solve counts every evaluation, rejected line-search trials
+        included, and stops non-converged at the cap.  The simplexes
+        split it evenly with at least 3 per start (the initial simplex),
+        so they spend at most max(max_evals, 3 * multistart_grid**2).
     """
 
     inner_tol: float = 1e-10
@@ -206,18 +217,95 @@ def _seed_grid(count: int) -> list[float]:
     return [_SEED_LO * ratio ** (i / (count - 1)) for i in range(count)]
 
 
+def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
+                  max_evals: int):
+    """Damped Newton on (delta, nu) = (gamma - c3/2, nu) from the given
+    start; returns (gamma, nu, J, evaluations, converged).
+
+    Each evaluation is one i_uric_inner call with derivatives.  A step
+    goes at most _TO_BOUNDARY of the way to delta = 0 or nu = 0 and is
+    halved until J falls, and by _ARMIJO times the predicted decrease
+    (Armijo); a trial whose gamma rounds to c3/2 is halved without an
+    evaluation.  The solve has converged once the Newton decrement
+    lambda^2 = g' H^{-1} g satisfies lambda^2/2 <= tol; J is convex, so
+    that bounds J - min J to second order.  It then tries that last
+    Newton step once more, without halving, and keeps it if it passes the
+    same test: near the minimum the step cuts the gap to about its
+    square, so the reported J is within rounding of min J where the step
+    is taken.
+    """
+    half_c3 = 0.5 * c3
+    gamma = half_c3 + delta
+    value, (g_d, g_n), (h_dd, h_dn, h_nn) = i_uric_inner(c3, beta, gamma, nu, derivatives=True)
+    evals = 1
+    while True:
+        det = h_dd * h_nn - h_dn * h_dn
+        if not (h_dd > 0.0 and det > 0.0):  # curvature lost to underflow
+            return gamma, nu, value, evals, False
+        step_d = (h_dn * g_n - h_nn * g_d) / det
+        step_n = (h_dn * g_d - h_dd * g_n) / det
+        decrement = -(g_d * step_d + g_n * step_n)  # lambda^2
+        converged = 0.5 * decrement <= tol
+        t = 1.0
+        if step_d < 0.0:
+            t = min(t, -_TO_BOUNDARY * delta / step_d)
+        if step_n < 0.0:
+            t = min(t, -_TO_BOUNDARY * nu / step_n)
+        while True:
+            if evals >= max_evals or t < _MIN_STEP:
+                return gamma, nu, value, evals, converged
+            trial_gamma = half_c3 + (delta + t * step_d)
+            if trial_gamma > half_c3:
+                trial_nu = nu + t * step_n
+                trial = i_uric_inner(c3, beta, trial_gamma, trial_nu, derivatives=True)
+                evals += 1
+                # Strictly lower as well: where J's rounding hides the
+                # Armijo term, an equal J is no progress.
+                if trial[0] < value and trial[0] <= value - _ARMIJO * t * decrement:
+                    break
+            if converged:
+                return gamma, nu, value, evals, True
+            t *= 0.5
+        gamma, nu = trial_gamma, trial_nu
+        if converged:
+            return gamma, nu, trial[0], evals, True
+        delta = gamma - half_c3
+        value, (g_d, g_n), (h_dd, h_dn, h_nn) = trial
+
+
 def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None) -> OptimReport:
     """Minimize J(c3, beta, gamma, nu) over gamma > c3/2, nu >= 0.
 
-    Simplex descent in (u, v) = (log(gamma - c3/2), log(nu)) from the
-    analytic c3 -> 0 optimum, or from a fixed log grid when
-    multistart_grid >= 2; deterministic for identical inputs.
+    Damped Newton from the analytic c3 -> 0 optimum, then from the
+    c3 -> inf optimum if the first start ends non-converged, or
+    Nelder-Mead from a fixed log grid when multistart_grid >= 2 (see the
+    module docstring); deterministic for identical inputs.
+    ``restarts_used`` counts the starts run.
     """
     cfg = config or DEFAULT_CONFIG
     if not c3 > 0.0:
         raise ValueError(f"minimize_inner requires c3 > 0, got {c3!r}")
 
     half_c3 = 0.5 * c3
+    if cfg.multistart_grid == 1:
+        g0, threshold_sq = _limit_seed(beta)
+        best = _newton_inner(c3, beta, g0, threshold_sq / (4.0 * (half_c3 + g0)),
+                             cfg.inner_tol, cfg.max_evals)
+        evals, starts = best[3], 1
+        seed = None if best[4] or evals >= cfg.max_evals else _asymptotic_seed(c3, beta)
+        if seed is not None:
+            second = _newton_inner(c3, beta, *seed, cfg.inner_tol, cfg.max_evals - evals)
+            evals, starts = evals + second[3], 2
+            if second[2] < best[2]:
+                best = second
+        gamma, nu, value, _evals, converged = best
+        return OptimReport(
+            best_params=LiftedParams(c3=c3, gamma=gamma, nu=nu),
+            best_value=value,
+            evaluations=evals,
+            converged=converged,
+            restarts_used=starts,
+        )
 
     def objective(x):
         u, v = x
@@ -228,14 +316,10 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
             return math.inf
         return i_uric_inner(c3, beta, gamma, math.exp(v))
 
-    if cfg.multistart_grid == 1:
-        g0, threshold_sq = _limit_seed(beta)
-        seeds = [(math.log(g0), math.log(threshold_sq / (4.0 * (half_c3 + g0))))]
-    else:
-        seeds = [
-            (math.log(g), math.log(v)) for g in _seed_grid(cfg.multistart_grid)
-            for v in _seed_grid(cfg.multistart_grid)
-        ]
+    seeds = [
+        (math.log(g), math.log(v)) for g in _seed_grid(cfg.multistart_grid)
+        for v in _seed_grid(cfg.multistart_grid)
+    ]
     per_start = max(cfg.max_evals // len(seeds), 3)
 
     best_x = None
@@ -323,10 +407,21 @@ def _brent_minimize(f, a, b, tol):
 def _limit_seed(beta: float) -> tuple[float, float]:
     """(g0, t^2) of the analytic c3 -> 0 optimum: g0 = tail_term(beta)/2 and
     t = optimal_nu(beta).  Cached because every inner solve of one outer
-    solve shares beta, and the two erfinv calls cost about 7% of a
-    single-start inner solve."""
+    solve shares beta, and the two erfinv calls cost about half as much
+    as a whole Newton inner solve."""
     threshold = optimal_nu(beta)
     return 0.5 * tail_term(beta), threshold * threshold
+
+
+def _asymptotic_seed(c3: float, beta: float) -> tuple[float, float] | None:
+    """(delta, nu) of the c3 -> inf optimum, c3 delta -> beta/2 and
+    c3 nu - ln c3 -> ln((1-beta)/beta) - ln(beta)/2, or None where that
+    nu is not positive or gamma = c3/2 + delta rounds to c3/2."""
+    delta = beta / (2.0 * c3)
+    nu = (math.log(c3) + math.log((1.0 - beta) / beta) - 0.5 * math.log(beta)) / c3
+    if nu > 0.0 and 0.5 * c3 + delta > 0.5 * c3:
+        return delta, nu
+    return None
 
 
 def _limit_params(beta: float) -> LiftedParams:
@@ -335,22 +430,16 @@ def _limit_params(beta: float) -> LiftedParams:
     return LiftedParams(c3=0.0, gamma=gamma, nu=threshold_sq / (4.0 * gamma))
 
 
-def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str,
-                    inner: dict | None) -> BoundResult:
+def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> BoundResult:
     """Shared outer search; the lower family is maximized by negation."""
     upper = kind == KIND_UPPER_LIFTED
     beta = shape.beta
-    solves: dict = {} if inner is None else inner
-    evaluations = 0  # run by this call; reports taken from ``inner`` cost nothing
+    solves: dict[float, OptimReport] = {}
 
     def solve(c3: float) -> OptimReport:
-        nonlocal evaluations
-        key = (c3, beta, cfg)
-        report = solves.get(key)
+        report = solves.get(c3)
         if report is None:
-            report = minimize_inner(c3, beta, cfg)
-            solves[key] = report
-            evaluations += report.evaluations
+            report = solves[c3] = minimize_inner(c3, beta, cfg)
         return report
 
     def signed_objective(c3: float) -> float:
@@ -393,7 +482,7 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str,
         value=value,
         params=params,
         converged=converged,
-        evaluations=evaluations,
+        evaluations=sum(report.evaluations for report in solves.values()),
     )
 
 
@@ -419,21 +508,11 @@ def lifted_lower_objective(c3: float, shape: ProblemShape, config=None) -> float
     return lower_value_from_inner(c3, shape, report.best_value)
 
 
-def optimize_upper(shape: ProblemShape, config: OptimizerConfig | None = None,
-                   inner: dict | None = None) -> BoundResult:
-    """Best (smallest) lifted upper bound over c3; never above the simple bound.
-
-    ``inner`` optionally shares inner solves with other outer solves; see
-    the module docstring.
-    """
-    return _optimize_outer(shape, config or DEFAULT_CONFIG, KIND_UPPER_LIFTED, inner)
+def optimize_upper(shape: ProblemShape, config: OptimizerConfig | None = None) -> BoundResult:
+    """Best (smallest) lifted upper bound over c3; never above the simple bound."""
+    return _optimize_outer(shape, config or DEFAULT_CONFIG, KIND_UPPER_LIFTED)
 
 
-def optimize_lower(shape: ProblemShape, config: OptimizerConfig | None = None,
-                   inner: dict | None = None) -> BoundResult:
-    """Best (largest) lifted lower bound over c3; never below the simple bound.
-
-    ``inner`` optionally shares inner solves with other outer solves; see
-    the module docstring.
-    """
-    return _optimize_outer(shape, config or DEFAULT_CONFIG, KIND_LOWER_LIFTED, inner)
+def optimize_lower(shape: ProblemShape, config: OptimizerConfig | None = None) -> BoundResult:
+    """Best (largest) lifted lower bound over c3; never below the simple bound."""
+    return _optimize_outer(shape, config or DEFAULT_CONFIG, KIND_LOWER_LIFTED)

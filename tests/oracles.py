@@ -18,7 +18,7 @@ import math
 import numpy as np
 from mpmath import mp
 
-from ric_bounds import minimize_inner, simple_lower, simple_upper
+from ric_bounds import i_uric_inner, minimize_inner, optimizer, simple_lower, simple_upper
 from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
 from ric_bounds.specfun import _TRAP_H, _TRAP_NO_CORRECTION, _TRAP_TERMS, _TWO_PI_OVER_H
 
@@ -449,3 +449,31 @@ def optimize_outer_scan(shape, cfg, upper: bool) -> tuple[float, float, bool]:
     else:
         converged = reports[best_c3].converged and not edge_fail
     return (best_val if upper else -best_val), best_c3, converged
+
+
+# --- the replaced inner solve -------------------------------------------------
+#
+# The default inner solve was once one Nelder-Mead simplex in
+# (log(gamma - c3/2), log nu) from the analytic c3 -> 0 optimum.  Damped
+# Newton replaced it; the tests require Newton's minimum to be no higher
+# than this simplex's by more than inner_tol.
+
+
+def single_simplex_inner(c3: float, beta: float, cfg) -> tuple[float, int]:
+    """(best J, evaluations) of the single-start simplex."""
+    half_c3 = 0.5 * c3
+
+    def objective(x):
+        u, v = x
+        if u > 700.0 or v > 700.0:
+            return math.inf
+        gamma = half_c3 + math.exp(u)
+        if not gamma > half_c3:
+            return math.inf
+        return i_uric_inner(c3, beta, gamma, math.exp(v))
+
+    g0, threshold_sq = optimizer._limit_seed(beta)
+    seed = (math.log(g0), math.log(threshold_sq / (4.0 * (half_c3 + g0))))
+    _x, fx, evals, _converged = optimizer._nelder_mead(
+        objective, seed, step=0.5, tol=cfg.inner_tol, max_evals=cfg.max_evals)
+    return fx, evals

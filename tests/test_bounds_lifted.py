@@ -2,8 +2,10 @@
 inner objective, and the assembled objectives at pinned parameters."""
 
 import math
+import random
 
 import pytest
+from mpmath import mp
 
 from ric_bounds import (
     LiftedParams,
@@ -16,16 +18,13 @@ from ric_bounds import (
     i_uric_inner,
     lifted_lower_objective,
     lifted_upper_objective,
+    minimize_inner,
     simple_lower,
     simple_upper,
 )
-from ric_bounds.bounds_lifted import (
-    _moment_term_stable,
-    lower_value_from_inner,
-    upper_value_from_inner,
-)
+from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
 
-from oracles import moment_monte_carlo
+from oracles import CERT_DPS, i_sph_mp, inner_objective_mp, moment_monte_carlo
 
 
 class TestGammaHat:
@@ -51,6 +50,22 @@ class TestGammaHat:
             gamma_hat(0.0, 0.5, SphBranch.PLUS)
         with pytest.raises(ValueError):
             gamma_hat(-1.0, 0.5, SphBranch.MINUS)
+
+    @pytest.mark.parametrize("log2_c3", [0, 12, 20, 26, 28, 33, 40])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_minus_root_stable_at_large_c3(self, log2_c3, alpha):
+        """The MINUS root is -alpha/(4 PLUS root), so it keeps full relative
+        accuracy where 2 c3 - sqrt(4 c3^2 + 16 alpha) cancels to 0, and the
+        lower family's spherical term stays finite."""
+        c3 = 2.0**log2_c3
+        minus = gamma_hat(c3, alpha, SphBranch.MINUS)
+        sph = i_sph(c3, alpha, SphBranch.MINUS)
+        with mp.workdps(CERT_DPS):
+            c3m, am = mp.mpf(c3), mp.mpf(alpha)
+            exact = (2 * c3m - mp.sqrt(4 * c3m * c3m + 16 * am)) / 8
+            exact_sph = i_sph_mp(c3, alpha, False)
+            assert abs(minus - exact) <= 1e-14 * abs(exact)
+            assert math.isfinite(sph) and abs(sph - exact_sph) <= 1e-12 * abs(exact_sph)
 
 
 class TestISph:
@@ -102,19 +117,24 @@ class TestBigIUric:
     ])
     def test_stable_path_matches_direct_product(self, c3, gamma, nu):
         """Where e^{r} and erfc(a/sqrt(2)) are individually representable the
-        erfcx route must equal their direct product to 1e-10 relative."""
+        erfcx route must equal the direct closed form of the moment,
+        e^{-c3 nu}/sqrt(1-2p) erfc(a/sqrt(2)) + erf(sqrt(2 nu gamma)), to
+        1e-10 relative."""
         p = c3 / (4.0 * gamma)
         a = 2.0 * math.sqrt(nu * gamma) * math.sqrt(1.0 - 2.0 * p)
-        direct = math.exp(-c3 * nu) / math.sqrt(1.0 - 2.0 * p) * erfc(a / math.sqrt(2.0))
-        stable = _moment_term_stable(c3, gamma, nu)
+        direct = (math.exp(-c3 * nu) / math.sqrt(1.0 - 2.0 * p) * erfc(a / math.sqrt(2.0))
+                  + 1.0 - erfc(math.sqrt(2.0 * nu * gamma)))
+        stable = big_i_uric(LiftedParams(c3, gamma, nu))
         assert abs(stable - direct) <= 1e-10 * abs(direct)
 
     def test_stable_path_survives_underflow_region(self):
-        """For large c3*nu the direct factors underflow but the moment term
-        must stay finite and positive."""
-        value = _moment_term_stable(30.0, 400.0, 30.0)  # e^{-24000} underflows
-        assert value >= 0.0 and math.isfinite(value)
-        assert math.isfinite(_moment_term_stable(5.0, 50.0, 8.0))
+        """For large c3*nu the direct factors underflow but the moment, the
+        objective and its derivatives must stay finite."""
+        value = big_i_uric(LiftedParams(30.0, 400.0, 30.0))  # e^{-24000} underflows
+        assert value >= 1.0 and math.isfinite(value)
+        assert math.isfinite(big_i_uric(LiftedParams(5.0, 50.0, 8.0)))
+        j, grad, hess = i_uric_inner(30.0, 0.1, 400.0, 30.0, derivatives=True)
+        assert all(math.isfinite(x) for x in (j, *grad, *hess))
 
 
 class TestInnerObjective:
@@ -157,8 +177,6 @@ class TestInnerObjective:
 
     def test_grid_scan_brackets_optimizer_minimum(self):
         """A 50x50 scan over (gamma, nu) cannot beat the inner solver."""
-        from ric_bounds import minimize_inner
-
         c3, beta = 0.4033, 0.05
         report = minimize_inner(c3, beta)
         scan_best = math.inf
@@ -168,6 +186,52 @@ class TestInnerObjective:
                 nu = 1e-3 * (30.0 / 1e-3) ** (j / 49.0)
                 scan_best = min(scan_best, i_uric_inner(c3, beta, gamma, nu))
         assert report.best_value <= scan_best + 1e-12
+
+    def test_derivatives_match_extended_precision(self):
+        """With derivatives=True, J equals the 50-digit oracle J to 1e-15
+        relative, and the gradient and Hessian equal mp.diff of it to 1e-12
+        relative, at 24 random feasible points.  gamma - c3/2 is kept
+        comparable to gamma there, so 1 - 2p = 1 - c3/(2 gamma) is not
+        itself rounded away."""
+        rng = random.Random(14)
+        for _ in range(24):
+            c3 = math.exp(rng.uniform(math.log(1e-3), math.log(16.0)))
+            beta = math.exp(rng.uniform(math.log(1e-4), math.log(0.9)))
+            gamma = 0.5 * c3 + math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
+            nu = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+            value, grad, hess = i_uric_inner(c3, beta, gamma, nu, derivatives=True)
+            with mp.workdps(CERT_DPS):
+                point = (mp.mpf(gamma), mp.mpf(nu))
+
+                def j(g, n):
+                    return inner_objective_mp(c3, beta, g, n)
+
+                exact_j = j(*point)
+                assert abs(value - exact_j) <= 1e-15 * max(1.0, abs(exact_j))
+
+                exact = [mp.diff(j, point, order) for order in
+                         ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+                for got, ref in zip((*grad, *hess), exact):
+                    err = abs(float((got - ref) / ref))
+                    assert err <= 1e-12, (c3, beta, gamma, nu, got, float(ref))
+
+    @pytest.mark.parametrize("beta", [0.01, 0.5, 0.999999])
+    def test_derivative_path_value_accurate_at_small_c3(self, beta):
+        """At the inner optimum for c3 = 2^-16 .. 1, where M - 1 = O(c3)
+        cancels in the 4-argument path (errors up to ~1e-11 in J), the
+        derivative path's J equals the 50-digit J to 1e-15."""
+        for k in range(-16, 1, 2):
+            c3 = 2.0**k
+            p = minimize_inner(c3, beta).best_params
+            value = i_uric_inner(c3, beta, p.gamma, p.nu, derivatives=True)[0]
+            with mp.workdps(CERT_DPS):
+                exact = inner_objective_mp(c3, beta, p.gamma, p.nu)
+                assert abs(value - exact) <= 1e-15, (c3, float(value - exact))
+
+    def test_derivatives_require_positive_nu(self):
+        with pytest.raises(ValueError):
+            i_uric_inner(0.5, 0.1, 0.5, 0.0, derivatives=True)
+        assert math.isfinite(i_uric_inner(0.5, 0.1, 0.5, 0.0))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from ric_bounds import (
     OptimizerConfig,
     ProblemShape,
+    bounds_lifted,
     i_uric_inner,
     minimize_inner,
     optimize_lower,
@@ -21,7 +22,7 @@ from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_in
 from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN, KIND_LOWER_LIFTED, KIND_UPPER_LIFTED
 from ric_bounds.cli import DEFAULT_ALPHAS, DEFAULT_RHOS
 
-from oracles import nelder_mead_lists, optimize_outer_scan
+from oracles import nelder_mead_lists, optimize_outer_scan, single_simplex_inner
 
 # The inner config of the criterion-10 sweep argv (--multistart 2 ...).
 CRITERION_10_CONFIG = OptimizerConfig(
@@ -121,6 +122,46 @@ class TestMinimizeInner:
         assert math.isfinite(report.best_value)
         assert report.best_value <= grid.best_value + 1e-9
         assert report.evaluations < grid.evaluations
+
+    @pytest.mark.parametrize("beta", [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX])
+    def test_newton_not_worse_than_single_simplex(self, beta):
+        """Across c3 = 2^-15 .. 2^18 the Newton solve converges, ends no
+        higher than the single-start simplex it replaced plus inner_tol,
+        and spends fewer evaluations."""
+        cfg = OptimizerConfig()
+        for k in range(-15, 19):
+            c3 = 2.0**k
+            report = minimize_inner(c3, beta, cfg)
+            simplex_value, simplex_evals = single_simplex_inner(c3, beta, cfg)
+            assert report.converged, c3
+            assert report.best_value <= simplex_value + cfg.inner_tol, c3
+            assert report.evaluations < simplex_evals, c3
+
+    @pytest.mark.parametrize("c3", [2.0**14, 2.0**16])
+    @pytest.mark.parametrize("beta", [0.005, 0.07])
+    def test_asymptotic_seed_takes_over_at_large_c3(self, c3, beta):
+        """Where Newton from the c3 -> 0 optimum stalls, a second start at
+        the c3 -> inf optimum converges; the report counts both starts."""
+        report = minimize_inner(c3, beta)
+        assert report.converged and report.restarts_used == 2
+        assert report.evaluations < 20
+        assert report.best_value <= single_simplex_inner(c3, beta, OptimizerConfig())[0]
+
+    @pytest.mark.parametrize("c3,beta", [(0.5, 0.1), (4096.0, BETA_MIN), (1e-4, 0.9)])
+    def test_newton_cap_counts_line_search_trials(self, c3, beta):
+        """max_evals caps every evaluation, rejected line-search trials
+        included, and a cap at or above the uncapped count changes nothing.
+        A capped solve is non-converged unless the cap only cut the last
+        Newton step taken after the decrement test passed."""
+        free = minimize_inner(c3, beta)
+        for cap in range(1, free.evaluations + 2):
+            capped = minimize_inner(c3, beta, OptimizerConfig(max_evals=cap))
+            assert capped.evaluations <= cap
+            assert capped.best_value >= free.best_value
+            if cap >= free.evaluations:
+                assert capped == free
+            else:
+                assert not capped.converged or cap == free.evaluations - 1
 
     def test_rejects_nonpositive_c3(self):
         with pytest.raises(ValueError):
@@ -318,12 +359,14 @@ class TestSimplexMatchesReference:
     @pytest.mark.parametrize(
         "config",
         [
+            # The default inner solve is Newton; swapping the simplex must
+            # leave it unchanged.
             OptimizerConfig(),
             CRITERION_10_CONFIG,
-            # One start, so the 7- and 40-evaluation budgets bind inside
-            # the simplex and it stops after an expansion or contraction.
-            OptimizerConfig(multistart_grid=1, max_evals=7),
-            OptimizerConfig(multistart_grid=1, max_evals=40),
+            # Four starts of 7 and 40 evaluations, so the budgets bind
+            # inside a simplex and it stops after an expansion or contraction.
+            OptimizerConfig(multistart_grid=2, max_evals=28),
+            OptimizerConfig(multistart_grid=2, max_evals=160),
         ],
         ids=["default", "multistart-2", "max-evals-7", "max-evals-40"],
     )
@@ -342,35 +385,35 @@ class TestSimplexMatchesReference:
             assert a == b, point  # value, (gamma, nu), evaluations, converged, starts
 
 
-class TestSharedInnerSolves:
-    SHAPE = ProblemShape.from_rho(0.5, 0.3)
+class TestEvaluationContract:
+    """Every counted evaluation is one call of ``optimizer.i_uric_inner``,
+    and each call makes exactly two ``bounds_lifted.erfcx`` calls, on the
+    Newton path and on the simplex path alike.  The benchmark's count
+    cross-check rests on this."""
 
-    @staticmethod
-    def _outcome(result):
-        return result.value, result.params, result.converged
+    SHAPES = [ProblemShape(0.5, 0.05), ProblemShape.from_rho(0.1, 0.7),
+              ProblemShape.from_rho(0.9, 0.9)]
 
-    def test_shared_map_changes_no_result(self):
-        cfg = CRITERION_10_CONFIG
-        inner = {}
-        upper = optimize_upper(self.SHAPE, cfg, inner=inner)
-        lower = optimize_lower(self.SHAPE, cfg, inner=inner)
-        assert self._outcome(upper) == self._outcome(optimize_upper(self.SHAPE, cfg))
-        assert self._outcome(lower) == self._outcome(optimize_lower(self.SHAPE, cfg))
+    @pytest.mark.parametrize("config", [OptimizerConfig(), OptimizerConfig(multistart_grid=2)],
+                             ids=["default", "multistart-2"])
+    @pytest.mark.parametrize("optimize", [optimize_upper, optimize_lower],
+                             ids=["upper", "lower"])
+    def test_evaluations_count_calls(self, config, optimize, monkeypatch):
+        counts = {"i_uric_inner": 0, "erfcx": 0}
 
-    def test_shared_lower_solve_counts_only_its_own_evaluations(self):
-        cfg = CRITERION_10_CONFIG
-        inner = {}
-        upper = optimize_upper(self.SHAPE, cfg, inner=inner)
-        shared = optimize_lower(self.SHAPE, cfg, inner=inner)
-        alone = optimize_lower(self.SHAPE, cfg)
-        assert upper.evaluations == optimize_upper(self.SHAPE, cfg).evaluations
-        assert 0 <= shared.evaluations < alone.evaluations
+        def counted(module, name):
+            fn = getattr(module, name)
 
-    def test_map_filled_at_another_beta_or_config_changes_nothing(self):
-        cfg = CRITERION_10_CONFIG
-        inner = {}
-        optimize_upper(ProblemShape(self.SHAPE.alpha, 0.2), cfg, inner=inner)
-        optimize_upper(self.SHAPE, OptimizerConfig(multistart_grid=1), inner=inner)
-        filled = len(inner)
-        assert optimize_lower(self.SHAPE, cfg, inner=inner) == optimize_lower(self.SHAPE, cfg)
-        assert len(inner) > filled
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(optimizer, "i_uric_inner")
+        counted(bounds_lifted, "erfcx")
+        for shape in self.SHAPES:
+            counts.update(i_uric_inner=0, erfcx=0)
+            result = optimize(shape, config)
+            assert result.evaluations == counts["i_uric_inner"] > 0, shape
+            assert counts["erfcx"] == 2 * counts["i_uric_inner"], shape
