@@ -7,10 +7,16 @@ The package computes, for the proportional regime k = beta*n, m = alpha*n:
 * the sharper exponential-moment family optimized over its comparison
   parameter (:mod:`bounds_lifted`, :mod:`optimizer`);
 * a finite-size empirical oracle via exhaustive or sampled support
-  enumeration (:mod:`empirical`);
+  enumeration (:mod:`empirical`), the only part that uses numpy;
 * embedded reference tables for regression and comparison
   (:mod:`reference_tables`);
 * a deterministic CLI over all of the above (:mod:`cli`).
+
+The bounds are scalar Python, so ``import ric_bounds`` does not load
+numpy.  The empirical names (``EmpiricalEstimate``, ``GaussianMatrix``,
+``empirical_ric``, ``sample_matrix``) are served by a module
+``__getattr__`` (PEP 562) that imports :mod:`empirical`, and numpy with
+it, on first use.
 """
 
 __version__ = "0.1.0"
@@ -31,12 +37,6 @@ from .bounds_simple import (
     simple_lower,
     simple_upper,
     tail_term,
-)
-from .empirical import (
-    EmpiricalEstimate,
-    GaussianMatrix,
-    empirical_ric,
-    sample_matrix,
 )
 from .optimizer import (
     OptimizerConfig,
@@ -85,3 +85,14 @@ __all__ = [
     "simple_upper",
     "tail_term",
 ]
+
+_EMPIRICAL_NAMES = frozenset(("EmpiricalEstimate", "GaussianMatrix", "empirical_ric",
+                              "sample_matrix"))
+
+
+def __getattr__(name: str):
+    if name in _EMPIRICAL_NAMES:
+        from . import empirical
+
+        return getattr(empirical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,13 +13,20 @@ Three subcommands:
   mode a FAIL is conclusive but a pass is reported as "no violation
   found (sampled)".
 
-Exit codes: 0 success, 2 invalid shape/dimensions (argparse usage errors
-also exit 2), 3 optimizer non-convergence or failed sweep rows (values
-are still printed).
+Exit codes: 0 success, 2 invalid shape/dimensions or optimizer flags
+(argparse usage errors also exit 2), 3 optimizer non-convergence or
+failed sweep rows (values are still printed).
 
 All output is deterministic for identical invocations: floats render
 with %.6g, nothing timestamps, and sweep cells are computed one after
 another in grid order.
+
+Only ``empirical`` needs numpy, so :mod:`empirical` is imported on its
+first use and ``bound`` and ``sweep`` never load it.  The subcommands
+reach every solver through this module's globals (``simple_upper``,
+``simple_lower``, ``optimize_upper``, ``optimize_lower``,
+``empirical_ric``) at call time, so a wrapper set on one of those names
+sees every call the cli makes.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from .bounds_simple import (
     simple_lower,
     simple_upper,
 )
-from .empirical import MODE_EXHAUSTIVE, empirical_ric
 from .optimizer import OptimizerConfig, optimize_lower, optimize_upper
 from .reference_tables import reference_for_kind
 
@@ -75,6 +81,13 @@ def _config_from_args(args) -> OptimizerConfig:
     )
 
 
+def empirical_ric(m: int, n: int, k: int, trials: int, support_budget: int, seed: int):
+    """:func:`ric_bounds.empirical.empirical_ric`, importing numpy on first use."""
+    from . import empirical
+
+    return empirical.empirical_ric(m, n, k, trials, support_budget, seed)
+
+
 def _compute_bound(kind: str, shape: ProblemShape, config: OptimizerConfig) -> BoundResult:
     if kind == KIND_UPPER_SIMPLE:
         return simple_upper(shape)
@@ -103,6 +116,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="cap on objective evaluations per inner solve")
 
 
+def _usage_error(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _meta(args, fields: tuple[str, ...]) -> dict:
     return {"version": __version__, "config": {f: getattr(args, f.replace("-", "_")) for f in fields}}
 
@@ -115,8 +133,7 @@ def _cmd_bound(args, out) -> int:
         shape = _shape_from_args(args)
         config = _config_from_args(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     result = _compute_bound(args.kind, shape, config)
 
     row = _row_dict(shape.alpha, shape.rho, args.kind, result, reference=None)
@@ -197,7 +214,10 @@ def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) ->
 
 
 def _cmd_sweep(args, out) -> int:
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     kinds = [k for k in BOUND_KINDS if k in set(args.kinds)]
     rows = [_sweep_cell(a, r, k, config) for a in args.alphas for r in args.rhos for k in kinds]
 
@@ -221,15 +241,16 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_empirical(args, out) -> int:
+    from .empirical import MODE_EXHAUSTIVE
+
     m, n, k = args.m, args.n, args.k
     try:
         if not 0 < k < m < n:
             raise ValueError(f"requires 0 < k < m < n, got k={k}, m={m}, n={n}")
         shape = ProblemShape(alpha=m / n, beta=k / n)
+        config = _config_from_args(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = _config_from_args(args)
+        return _usage_error(exc)
     uric, lric = empirical_ric(m, n, k, args.trials, args.support_budget, args.seed)
 
     bounds = {

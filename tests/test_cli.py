@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from ric_bounds import cli
 from ric_bounds.cli import CSV_HEADER, main
 
 FAST = ["--multistart", "2", "--outer-tol", "1e-3", "--inner-tol", "1e-8", "--max-evals", "4000"]
@@ -213,6 +216,57 @@ class TestEmpirical:
         _, out, _ = run_cli(failing + ["--format", "json"], capsys)
         sandwich = json.loads(out)["sandwich"]
         assert sandwich["verdict"] is False and sandwich["conclusive"] is True
+
+
+class TestInvalidConfig:
+    """An optimizer flag that OptimizerConfig rejects is a usage error in
+    every subcommand: one error line, nothing on stdout, exit 2."""
+
+    COMMANDS = {
+        "bound": ["bound", "--kind", "upper-lifted", "--alpha", "0.5", "--rho", "0.3"],
+        "sweep": ["sweep", "--alphas", "0.5", "--rhos", "0.3"],
+        "empirical": ["empirical", "--m", "5", "--n", "8", "--k", "2", "--trials", "1"],
+    }
+
+    @pytest.mark.parametrize("flag", ["--max-evals", "--multistart", "--inner-tol", "--c3-min"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_2_with_error_line(self, command, flag, capsys):
+        code, out, err = run_cli(self.COMMANDS[command] + [flag, "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestCallContract:
+    """The subcommands reach every solver through the cli module's globals,
+    looked up at call time.  perfbench/workloads.py::_cli_boundary and the
+    cli entries of tracer.HOOKS in perfbench/tracer.py replace exactly these
+    names to record and time each call; a call that bypasses them (a local
+    import of empirical_ric, say) leaves the benchmark with nothing to check
+    and the run counted as failed."""
+
+    NAMES = ("empirical_ric", "optimize_upper", "optimize_lower", "simple_upper", "simple_lower")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in self.NAMES:
+            def recorder(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, recorder)
+        return calls
+
+    def test_empirical_calls_each_once_through_module_globals(self, calls, capsys):
+        code, out, _ = run_cli(TestEmpirical.ARGS, capsys)
+        assert code == 0
+        assert out.strip().endswith("verdict: PASS")
+        assert sorted(calls) == sorted(self.NAMES)
+
+    def test_sweep_calls_each_bound_once_through_module_globals(self, calls, capsys):
+        code, _, _ = run_cli(["sweep", "--alphas", "0.5", "--rhos", "0.3"], capsys)
+        assert code == 0
+        assert sorted(calls) == sorted(set(self.NAMES) - {"empirical_ric"})
 
 
 class TestEntryPoint:
