@@ -151,7 +151,8 @@ def _scaled_excess(two_p: float, root: float, s: float, z2: float,
     prev, term = e2, -h * (2.0 * z2 * e2 - _TWO_OVER_SQRT_PI)
     acc = eps * e2 + term
     k = 1
-    while abs(term) > 1e-17 * acc:
+    # abs: where eps e2 underflows, acc can round to a tiny negative sum.
+    while abs(term) > 1e-17 * abs(acc):
         prev, term = term, -2.0 * h / (k + 1) * (z2 * term - h * prev)
         acc += term
         k += 1

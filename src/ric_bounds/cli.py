@@ -241,16 +241,20 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_empirical(args, out) -> int:
-    from .empirical import MODE_EXHAUSTIVE
-
     m, n, k = args.m, args.n, args.k
     try:
         if not 0 < k < m < n:
             raise ValueError(f"requires 0 < k < m < n, got k={k}, m={m}, n={n}")
+        if args.trials < 1:
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
+        if args.support_budget < 1:
+            raise ValueError(f"--support-budget must be >= 1, got {args.support_budget}")
         shape = ProblemShape(alpha=m / n, beta=k / n)
         config = _config_from_args(args)
     except ValueError as exc:
         return _usage_error(exc)
+    from .empirical import MODE_EXHAUSTIVE
+
     uric, lric = empirical_ric(m, n, k, args.trials, args.support_budget, args.seed)
 
     bounds = {

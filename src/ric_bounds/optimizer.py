@@ -22,7 +22,10 @@ Two levels:
   underflows and J has no curvature; a solve that ends non-converged
   with budget left is run once more from the c3 -> inf optimum,
   delta = beta/(2 c3), nu = (ln c3 + ln((1-beta)/beta) - ln(beta)/2)/c3,
-  and the lower of the two results is kept.
+  and the lowest J found is kept.  A caller that knows a better start
+  passes it as ``start``; Newton runs from it first, and the two analytic
+  starts follow in the same way if that run ends non-converged with
+  budget left.
   multistart_grid >= 2 instead runs derivative-free Nelder-Mead simplexes
   in (u, v) = (log delta, log nu) from an N x N log grid of starts.
 
@@ -38,15 +41,28 @@ Two levels:
   worse than the simple bound; a final bracket at the lower end is
   non-convergence unless that limit wins.  The limit is never evaluated
   at c3 = 0 itself, which is a removable singularity of the objective.
+  Brent's successive c3 lie close together and the inner optimum moves
+  smoothly with c3, so each inner solve after the first starts from a
+  predictor step along the optima already found (continuation, as in
+  Allgower & Georg, Numerical Continuation Methods): (log delta, log nu)
+  is interpolated linearly in log c3 between the two converged optima
+  that bracket the new c3, or extrapolated from the two nearest on one
+  side; with one converged optimum it is copied, and with none the solve
+  starts cold.  Only the start moves: a converged solve from a predicted
+  start ends within about inner_tol of min J, as a cold one does, so at
+  the default grid the evaluations of J halve and every value stays
+  equal at 6 significant digits.
 
-Everything is deterministic: fixed start points, no randomized restarts,
-and ties between equal-valued optima resolve to the smallest c3.  An
+Everything is deterministic: start points fixed by the inputs and the
+visit order of the outer search, no randomized restarts, and ties
+between equal-valued optima resolve to the smallest c3.  An
 inexact inner solve only raises J, which loosens both families, so every
 reported value is a valid bound.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -95,9 +111,10 @@ class OptimizerConfig:
         their spread, not the distance to min J.
     outer_tol: width in log c3, so a relative width in c3, at which the
         Brent search over c3 stops.
-    multistart_grid: 1 (the default) runs the Newton solve from the
-        analytic c3 -> 0 optimum; N >= 2 runs N**2 Nelder-Mead simplexes
-        from an N x N log grid instead.
+    multistart_grid: 1 (the default) runs the Newton solve, from the
+        outer search's predicted start or the analytic c3 -> 0 optimum;
+        N >= 2 runs N**2 Nelder-Mead simplexes from an N x N log grid
+        instead.
     c3_bracket: (lo, hi) for c3; the outer search runs on the bracket
         widened 4x on each side, [lo/4, 4 hi].
     max_evals: cap on the evaluations of J per inner solve.  A Newton
@@ -273,13 +290,32 @@ def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
         value, (g_d, g_n), (h_dd, h_dn, h_nn) = trial
 
 
-def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None) -> OptimReport:
+def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None, *,
+                   start: tuple[float, float] | None = None) -> OptimReport:
     """Minimize J(c3, beta, gamma, nu) over gamma > c3/2, nu >= 0.
 
-    Damped Newton from the analytic c3 -> 0 optimum, then from the
-    c3 -> inf optimum if the first start ends non-converged, or
-    Nelder-Mead from a fixed log grid when multistart_grid >= 2 (see the
-    module docstring); deterministic for identical inputs.
+    Damped Newton from a sequence of (delta, nu) starts, delta =
+    gamma - c3/2 (see the module docstring):
+
+    1. ``start``, when given and feasible.  The outer search passes its
+       predictor step here: (log delta, log nu) interpolated linearly in
+       log c3 through the optima it has already found.  A ``start`` whose
+       gamma rounds to c3/2 is skipped without an evaluation.
+    2. The analytic c3 -> 0 optimum, the cold start of a solve without
+       ``start``.
+    3. The c3 -> inf optimum, where it exists.
+
+    The next start runs only while every run so far has ended
+    non-converged with budget left, and the lowest J found is kept.  The
+    decrement test is local, so ``start`` should estimate the optimum.
+    From starts up to 1000x off in delta and nu a converged run still
+    ends within about inner_tol of min J, so such a start costs
+    evaluations, not accuracy.  From nu near 0 (about 1e-19 and below,
+    where J_nu_nu ~ nu^(-1/2) hides J_nu ~ beta - 1) the test can pass
+    far above min J.
+
+    With multistart_grid >= 2 it runs Nelder-Mead from a fixed log grid
+    instead and ignores ``start``.  Deterministic for identical inputs;
     ``restarts_used`` counts the starts run.
     """
     cfg = config or DEFAULT_CONFIG
@@ -288,16 +324,15 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
 
     half_c3 = 0.5 * c3
     if cfg.multistart_grid == 1:
-        g0, threshold_sq = _limit_seed(beta)
-        best = _newton_inner(c3, beta, g0, threshold_sq / (4.0 * (half_c3 + g0)),
-                             cfg.inner_tol, cfg.max_evals)
-        evals, starts = best[3], 1
-        seed = None if best[4] or evals >= cfg.max_evals else _asymptotic_seed(c3, beta)
-        if seed is not None:
-            second = _newton_inner(c3, beta, *seed, cfg.inner_tol, cfg.max_evals - evals)
-            evals, starts = evals + second[3], 2
-            if second[2] < best[2]:
-                best = second
+        best = None
+        evals = starts = 0
+        for seed in _newton_starts(c3, beta, start):
+            run = _newton_inner(c3, beta, *seed, cfg.inner_tol, cfg.max_evals - evals)
+            evals, starts = evals + run[3], starts + 1
+            if best is None or run[2] < best[2]:
+                best = run
+            if run[4] or evals >= cfg.max_evals:
+                break
         gamma, nu, value, _evals, converged = best
         return OptimReport(
             best_params=LiftedParams(c3=c3, gamma=gamma, nu=nu),
@@ -413,15 +448,51 @@ def _limit_seed(beta: float) -> tuple[float, float]:
     return 0.5 * tail_term(beta), threshold * threshold
 
 
-def _asymptotic_seed(c3: float, beta: float) -> tuple[float, float] | None:
+def _asymptotic_seed(c3: float, beta: float) -> tuple[float, float]:
     """(delta, nu) of the c3 -> inf optimum, c3 delta -> beta/2 and
-    c3 nu - ln c3 -> ln((1-beta)/beta) - ln(beta)/2, or None where that
-    nu is not positive or gamma = c3/2 + delta rounds to c3/2."""
-    delta = beta / (2.0 * c3)
+    c3 nu - ln c3 -> ln((1-beta)/beta) - ln(beta)/2."""
     nu = (math.log(c3) + math.log((1.0 - beta) / beta) - 0.5 * math.log(beta)) / c3
-    if nu > 0.0 and 0.5 * c3 + delta > 0.5 * c3:
-        return delta, nu
-    return None
+    return beta / (2.0 * c3), nu
+
+
+def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None):
+    """The (delta, nu) starts of the Newton inner solve, in order: a given
+    start, the c3 -> 0 optimum, then the c3 -> inf optimum.  The given and
+    the c3 -> inf start are skipped unless nu is in (0, inf) and
+    gamma = c3/2 + delta is finite and does not round to c3/2.  Lazy, so
+    a start that is not needed costs nothing."""
+    half_c3 = 0.5 * c3
+
+    def feasible(seed):
+        delta, nu = seed
+        return 0.0 < nu < math.inf and math.inf > half_c3 + delta > half_c3
+
+    if start is not None and feasible(start):
+        yield start
+    g0, threshold_sq = _limit_seed(beta)
+    yield g0, threshold_sq / (4.0 * (half_c3 + g0))
+    seed = _asymptotic_seed(c3, beta)
+    if feasible(seed):
+        yield seed
+
+
+def _predict_start(optima: list[tuple[float, float, float]],
+                   t: float) -> tuple[float, float] | None:
+    """Predicted (delta, nu) of the inner optimum at log c3 = t from the
+    converged optima so far, sorted by log c3: (log delta, log nu) is
+    linear in t through the two optima that bracket t, or else the two
+    nearest on one side.  One optimum is copied; with none there is no
+    prediction."""
+    if not optima:
+        return None
+    if len(optima) == 1:
+        _t, log_delta, log_nu = optima[0]
+    else:
+        i = min(max(bisect.bisect(optima, (t,)), 1), len(optima) - 1)
+        (t0, d0, n0), (t1, d1, n1) = optima[i - 1], optima[i]
+        w = (t - t0) / (t1 - t0)
+        log_delta, log_nu = d0 + w * (d1 - d0), n0 + w * (n1 - n0)
+    return math.exp(log_delta), math.exp(log_nu)
 
 
 def _limit_params(beta: float) -> LiftedParams:
@@ -435,11 +506,17 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     upper = kind == KIND_UPPER_LIFTED
     beta = shape.beta
     solves: dict[float, OptimReport] = {}
+    # (log c3, log delta, log nu) of every converged inner solve, by log c3.
+    optima: list[tuple[float, float, float]] = []
 
     def solve(c3: float) -> OptimReport:
         report = solves.get(c3)
         if report is None:
-            report = solves[c3] = minimize_inner(c3, beta, cfg)
+            t = math.log(c3)
+            report = solves[c3] = minimize_inner(c3, beta, cfg, start=_predict_start(optima, t))
+            if report.converged:
+                p = report.best_params
+                bisect.insort(optima, (t, math.log(p.gamma - 0.5 * c3), math.log(p.nu)))
         return report
 
     def signed_objective(c3: float) -> float:

@@ -228,6 +228,14 @@ class TestInnerObjective:
                 exact = inner_objective_mp(c3, beta, p.gamma, p.nu)
                 assert abs(value - exact) <= 1e-15, (c3, float(value - exact))
 
+    def test_series_ends_where_its_sum_rounds_negative(self):
+        """Far from any optimum, at gamma = 1e300 (a start the caller may
+        pass to the inner solve), eps e2 underflows and the first series
+        term rounds negative; the sum still ends, and J is its linear
+        part."""
+        value, grad, _hess = i_uric_inner(1e-6, 0.1, 1e300, 1.0, derivatives=True)
+        assert value == 1e300 and grad == (1.0, 0.1)
+
     def test_derivatives_require_positive_nu(self):
         with pytest.raises(ValueError):
             i_uric_inner(0.5, 0.1, 0.5, 0.0, derivatives=True)

@@ -186,6 +186,16 @@ class TestEmpirical:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("flag", ["--trials", "--support-budget"])
+    def test_nonpositive_count_exits_2(self, flag, capsys, monkeypatch):
+        """A count below 1 is a usage error caught before the oracle runs:
+        one error line naming the flag, nothing on stdout, exit 2."""
+        monkeypatch.setattr(cli, "empirical_ric", None)  # must not be reached
+        code, out, err = run_cli(self.ARGS + [flag, "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(self.ARGS + ["--format", "json"], capsys)
         assert code == 0

@@ -49,6 +49,11 @@ def test_bounds_path_leaves_numpy_unloaded(statement):
     assert numpy_loaded_after(statement) is False
 
 
+def test_empirical_usage_error_leaves_numpy_unloaded():
+    rejected = EMPIRICAL[:-1] + ["0"]  # --trials 0
+    assert numpy_loaded_after(f"from ric_bounds import cli; assert cli.main({rejected!r}) == 2") is False
+
+
 def test_empirical_subcommand_loads_numpy():
     assert numpy_loaded_after(f"from ric_bounds import cli; assert cli.main({EMPIRICAL!r}) == 0")
 

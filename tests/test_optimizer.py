@@ -168,6 +168,157 @@ class TestMinimizeInner:
             minimize_inner(0.0, 0.1)
 
 
+
+class TestWarmStart:
+    """``minimize_inner(..., start=(delta, nu))`` runs Newton from the given
+    point first and falls back to the cold starts when that run ends
+    non-converged; the outer search passes its predicted start here."""
+
+    BETAS = [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX]
+
+    @staticmethod
+    def _optimum(report):
+        params = report.best_params
+        return params.gamma - 0.5 * params.c3, params.nu
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_start_at_the_optimum_converges_at_once(self, beta):
+        cfg = OptimizerConfig()
+        for k in range(-15, 19):
+            c3 = 2.0**k
+            cold = minimize_inner(c3, beta, cfg)
+            warm = minimize_inner(c3, beta, cfg, start=self._optimum(cold))
+            assert warm.converged and warm.restarts_used == 1, c3
+            assert warm.evaluations <= 2, c3
+            assert abs(warm.best_value - cold.best_value) <= cfg.inner_tol, c3
+
+    @pytest.mark.parametrize("beta", [0.005, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("factors", [(1e3, 1e3), (1e-3, 1e-3), (1e3, 1e-3), (1e-3, 1e3)])
+    def test_start_far_off_ends_no_higher_than_cold(self, beta, factors):
+        """1000x off in delta and nu, in each direction: the solve still
+        converges, whether from the start or after falling back."""
+        cfg = OptimizerConfig()
+        for c3 in (1e-4, 0.01, 1.0, 16.0, 256.0, 4096.0):
+            cold = minimize_inner(c3, beta, cfg)
+            delta, nu = self._optimum(cold)
+            far = minimize_inner(c3, beta, cfg, start=(delta * factors[0], nu * factors[1]))
+            assert far.converged, c3
+            assert far.best_value <= cold.best_value + cfg.inner_tol, c3
+
+    @pytest.mark.parametrize("c3,beta", [(2.0**16, 0.005), (2.0**14, 0.07), (0.5, 0.1)])
+    def test_start_that_rounds_to_the_boundary_is_skipped(self, c3, beta):
+        """gamma = c3/2 + delta rounds to c3/2: the start costs no
+        evaluation and the solve is the cold one, bit for bit."""
+        cold = minimize_inner(c3, beta)
+        tiny = math.ulp(0.5 * c3) / 4.0
+        assert 0.5 * c3 + tiny == 0.5 * c3
+        for start in [(tiny, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.inf)]:
+            assert minimize_inner(c3, beta, start=start) == cold, start
+
+    @pytest.mark.parametrize("c3,beta", [(0.5, 0.1), (16.0, 0.5), (1e-3, 0.9)])
+    def test_stalled_start_falls_back_to_the_cold_starts(self, c3, beta):
+        """A start a million times too far out has no curvature left
+        (e^{-2 nu gamma} underflows), so its run ends non-converged after
+        one evaluation; the cold solve follows with the budget left and
+        its lower J is kept.  A run that ends at the budget is final."""
+        cold = minimize_inner(c3, beta)
+        delta, nu = self._optimum(cold)
+        far = (1e6 * delta, 1e6 * nu)
+        report = minimize_inner(c3, beta, start=far)
+        assert report.restarts_used == cold.restarts_used + 1
+        assert report.evaluations == cold.evaluations + 1
+        assert (report.best_value, report.best_params, report.converged) == (
+            cold.best_value, cold.best_params, cold.converged)
+        capped = minimize_inner(c3, beta, OptimizerConfig(max_evals=1), start=far)
+        assert capped.restarts_used == 1 and not capped.converged
+
+    def test_lowest_of_the_nonconverged_runs_is_kept(self, monkeypatch):
+        """With scripted Newton runs that all stop non-converged with budget
+        left: every start runs, in order, and the lowest J wins."""
+        c3, beta = 4.0, 0.1
+        seen = []
+
+        def scripted(c3_, beta_, delta, nu, tol, max_evals):
+            seen.append((delta, nu, max_evals))
+            value = (2.0, 1.0, 3.0)[len(seen) - 1]
+            return c3_ / 2.0 + delta, nu, value, 5, False
+
+        monkeypatch.setattr(optimizer, "_newton_inner", scripted)
+        report = minimize_inner(c3, beta, OptimizerConfig(max_evals=100), start=(0.3, 0.7))
+        cold_seed, far_seed = seen[1][:2], seen[2][:2]
+        assert [entry[2] for entry in seen] == [100, 95, 90]
+        assert seen[0][:2] == (0.3, 0.7)
+        assert far_seed == optimizer._asymptotic_seed(c3, beta)
+        assert report.best_value == 1.0 and not report.converged
+        assert report.best_params.nu == cold_seed[1]
+        assert (report.evaluations, report.restarts_used) == (15, 3)
+
+    @pytest.mark.parametrize("config", [CRITERION_10_CONFIG, OptimizerConfig(multistart_grid=3)],
+                             ids=["multistart-2", "multistart-3"])
+    def test_multistart_ignores_start(self, config):
+        for c3, beta in [(1e-4, 0.01), (0.2577, 0.01), (4.0283, 0.03), (256.0, 0.9)]:
+            cold = minimize_inner(c3, beta, config)
+            assert minimize_inner(c3, beta, config, start=(0.3, 2.0)) == cold
+            assert minimize_inner(c3, beta, config, start=self._optimum(cold)) == cold
+
+
+
+class TestPredictedStartsAlongC3:
+    """The outer search starts each inner solve from a prediction along
+    the optima it has found.  That moves only the start: on the 60 lifted
+    cells of the default grid the reported value and flag equal a search
+    whose every inner solve starts cold, at the CSV's 6 digits, in fewer
+    evaluations, each of them one call of ``optimizer.i_uric_inner``."""
+
+    def _run(self, monkeypatch, cold):
+        calls = [0]
+        leaf = optimizer.i_uric_inner
+        inner = optimizer.minimize_inner
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return leaf(*args, **kwargs)
+
+        def cold_inner(c3, beta, config=None, *, start=None):
+            return inner(c3, beta, config)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "i_uric_inner", counted)
+            if cold:
+                patch.setattr(optimizer, "minimize_inner", cold_inner)
+            rows = []
+            for alpha in DEFAULT_ALPHAS:
+                for rho in DEFAULT_RHOS:
+                    shape = ProblemShape.from_rho(alpha, rho)
+                    for optimize in (optimize_upper, optimize_lower):
+                        calls[0] = 0
+                        result = optimize(shape)
+                        assert result.evaluations == calls[0], (alpha, rho)
+                        rows.append(((alpha, rho, result.kind), f"{result.value:.6g}",
+                                     result.converged, result.evaluations))
+        return rows
+
+    def test_default_grid_matches_cold_starts(self, monkeypatch):
+        warm = self._run(monkeypatch, cold=False)
+        cold = self._run(monkeypatch, cold=True)
+        assert len(warm) == 60
+        for w, c in zip(warm, cold):
+            assert w[:3] == c[:3]
+        assert 2 * sum(w[3] for w in warm) < sum(c[3] for c in cold)
+
+    def test_prediction_interpolates_in_log_space(self):
+        optima = [(0.0, math.log(2.0), math.log(8.0)), (2.0, math.log(8.0), math.log(2.0))]
+        predict = optimizer._predict_start
+        assert predict([], 1.0) is None
+        assert predict(optima[:1], 5.0) == pytest.approx((2.0, 8.0))
+        assert predict(optima, 1.0) == pytest.approx((4.0, 4.0))  # bracketed
+        assert predict(optima, 4.0) == pytest.approx((32.0, 0.5))  # extrapolated above
+        assert predict(optima, -2.0) == pytest.approx((0.5, 32.0))  # and below
+        three = optima + [(3.0, 0.0, 0.0)]
+        assert predict(three, 2.5) == pytest.approx((math.sqrt(8.0), math.sqrt(2.0)))
+        assert predict(three, 10.0) == pytest.approx((8.0 ** -7, 2.0 ** -7))
+
+
 class TestOptimizeUpper:
     @pytest.mark.parametrize(
         "alpha,beta,expected",
