@@ -32,9 +32,9 @@ cancellation-free path
 which follows from r - a^2/2 = -2 nu gamma and stays finite for
 parameters where e^{-c3 nu} and erfc(a/sqrt(2)) individually underflow.
 log(M) is then log1p(M - 1), accurate even when M is within rounding of 1.
-The difference in parentheses cancels as p -> 0; the derivative path of
-:func:`i_uric_inner`, which the default inner solve uses, sums it as a
-series there instead (:func:`_scaled_excess`).
+The difference in parentheses cancels as p -> 0; :func:`i_uric_inner`
+and :func:`big_i_uric` sum it as a series there instead
+(:func:`_scaled_excess`).
 """
 
 from __future__ import annotations
@@ -115,19 +115,16 @@ def i_sph(c3: float, alpha: float, branch: SphBranch) -> float:
     return gh - (alpha / (2.0 * c3)) * math.log1p(-ratio)
 
 
-def _log_moment(c3: float, gamma: float, nu: float) -> float:
-    """log E exp(c3 * max(h^2/(4 gamma) - nu, 0)) for feasible parameters."""
-    omp = 1.0 - c3 / (2.0 * gamma)
-    if not omp > 0.0:
-        raise ValueError(
-            f"moment diverges: requires c3/(4 gamma) < 1/2, got c3={c3}, gamma={gamma}"
-        )
-    s = 2.0 * nu * gamma
-    z2 = math.sqrt(s)
-    z1 = z2 * math.sqrt(omp)
-    # M - 1 > 0 always: erfcx is decreasing and omp < 1.
-    d = math.exp(-s) * (erfcx(z1) / math.sqrt(omp) - erfcx(z2))
-    return math.log1p(d)
+def i_sph_slope(c3: float, alpha: float, branch: SphBranch) -> float:
+    """Slope in c3 of :func:`i_sph`, (alpha/(2 c3^2)) log(1 - c3/(2 ghat)) + ghat/c3.
+
+    ghat is stationary, so only the explicit c3 terms count (the envelope
+    theorem).  The second term is alpha/(2 c3 (2 ghat - c3)) rewritten
+    with 2 ghat (2 ghat - c3) = alpha, which does not cancel on the PLUS
+    branch as c3 grows.
+    """
+    gh = gamma_hat(c3, alpha, branch)
+    return (alpha / (2.0 * c3 * c3)) * math.log1p(-c3 / (2.0 * gh)) + gh / c3
 
 
 def _scaled_excess(two_p: float, root: float, s: float, z2: float,
@@ -159,53 +156,11 @@ def _scaled_excess(two_p: float, root: float, s: float, z2: float,
     return acc / root
 
 
-def big_i_uric(params: LiftedParams) -> float:
-    """Exponential moment E exp(c3 * max(h^2/(4 gamma) - nu, 0)), h ~ N(0,1).
-
-    Always >= 1; equals 1/sqrt(1-2p) at nu = 0 and tends to 1 as c3 -> 0.
-    Raises ValueError when p = c3/(4 gamma) >= 1/2 (the moment diverges;
-    LiftedParams cannot represent that region, but c3 == 0 limit params
-    are also rejected here since the moment path divides by c3 downstream).
-    """
-    if not params.c3 > 0.0:
-        raise ValueError(f"big_i_uric requires c3 > 0, got {params.c3!r}")
-    return 1.0 + math.expm1(_log_moment(params.c3, params.gamma, params.nu))
-
-
-def i_uric_inner(c3: float, beta: float, gamma: float, nu: float, *,
-                 derivatives: bool = False):
-    """Inner objective J = nu*beta + gamma + log(M)/c3 for feasible (gamma, nu).
-
-    Identical for the upper and lower families (the sign flip of the
-    linear form over a symmetric set leaves the moment unchanged).
-
-    With ``derivatives=True`` returns ``(J, (J_gamma, J_nu), (J_gamma_gamma,
-    J_gamma_nu, J_nu_nu))`` from the same two erfcx calls.  This J takes
-    M - 1 from :func:`_scaled_excess`, which avoids the cancellation of
-    the 4-argument path at small p; elsewhere the two are the same float.
-    With b = 2 sqrt(gamma nu) the clipping threshold,
-    the derivatives come from the tilted tail moments
-
-        T = E[e^{c3 (h^2/(4 gamma) - nu)}; |h| > b] = e^{-s} sigma erfcx(z1),
-        S = E[h^2 ...; |h| > b] = e^{-s} sigma^3 (erfcx(z1) + 2 z1/sqrt(pi)),
-        Q = E[h^4 ...; |h| > b] = e^{-s} sigma^5 (3 erfcx(z1)
-                                                  + (2/sqrt(pi)) (2 z1^3 + 3 z1)),
-
-    sigma = (1-2p)^{-1/2}, s = 2 nu gamma, z1 = sqrt(s (1-2p)), as
-    J_nu = beta - T/M and J_gamma = 1 - S/(4 gamma^2 M).  The Hessian adds
-    the boundary terms of T and S at |h| = b, where the density is
-    phi(b) = e^{-s}/sqrt(2 pi).
-    """
-    if not c3 > 0.0:
-        raise ValueError(f"i_uric_inner requires c3 > 0, got {c3!r}")
-    if nu < 0.0:
-        raise ValueError(f"i_uric_inner requires nu >= 0, got {nu!r}")
-    _check_beta(beta)
-    if not derivatives:
-        return nu * beta + gamma + _log_moment(c3, gamma, nu) / c3
-    if not nu > 0.0:  # J_nu_nu grows like nu^{-1/2} as nu -> 0
-        raise ValueError(f"i_uric_inner derivatives require nu > 0, got {nu!r}")
-
+def _moment(c3: float, gamma: float, nu: float):
+    """M - 1 on the erfcx path, with the pieces its derivatives reuse:
+    (M - 1, e^{-s}, erfcx(z1), erfcx(z2), z1, z2, 1 - 2p), s = 2 nu gamma.
+    M - 1 comes from :func:`_scaled_excess`, so it does not cancel at
+    small p."""
     two_p = c3 / (2.0 * gamma)
     omp = 1.0 - two_p
     if not omp > 0.0:
@@ -219,11 +174,70 @@ def i_uric_inner(c3: float, beta: float, gamma: float, nu: float, *,
     e1 = erfcx(z1)
     e2 = erfcx(z2)
     w = math.exp(-s)
-    d = w * _scaled_excess(two_p, root, s, z2, e1, e2)  # M - 1
-    value = nu * beta + gamma + math.log1p(d) / c3
+    return w * _scaled_excess(two_p, root, s, z2, e1, e2), w, e1, e2, z1, z2, omp
+
+
+def big_i_uric(params: LiftedParams) -> float:
+    """Exponential moment E exp(c3 * max(h^2/(4 gamma) - nu, 0)), h ~ N(0,1).
+
+    Always >= 1; equals 1/sqrt(1-2p) at nu = 0 and tends to 1 as c3 -> 0.
+    Raises ValueError when p = c3/(4 gamma) >= 1/2 (the moment diverges;
+    LiftedParams cannot represent that region, but c3 == 0 limit params
+    are also rejected here since the moment path divides by c3 downstream).
+    """
+    if not params.c3 > 0.0:
+        raise ValueError(f"big_i_uric requires c3 > 0, got {params.c3!r}")
+    return 1.0 + _moment(params.c3, params.gamma, params.nu)[0]
+
+
+def i_uric_inner(c3: float, beta: float, gamma: float, nu: float, *,
+                 derivatives: bool = False):
+    """Inner objective J = nu*beta + gamma + log(M)/c3 for feasible (gamma, nu).
+
+    Identical for the upper and lower families (the sign flip of the
+    linear form over a symmetric set leaves the moment unchanged).  Both
+    forms take M - 1 from :func:`_scaled_excess`, so they return the same
+    J, and it does not cancel at small p.
+
+    With ``derivatives=True`` returns ``(J, (J_gamma, J_nu), (J_gamma_gamma,
+    J_gamma_nu, J_nu_nu), K_c)`` from the same two erfcx calls.  With
+    b = 2 sqrt(gamma nu) the clipping threshold, the derivatives come from
+    the tilted tail moments
+
+        T = E[e^{c3 (h^2/(4 gamma) - nu)}; |h| > b] = e^{-s} sigma erfcx(z1),
+        S = E[h^2 ...; |h| > b] = e^{-s} sigma^3 (erfcx(z1) + 2 z1/sqrt(pi)),
+        Q = E[h^4 ...; |h| > b] = e^{-s} sigma^5 (3 erfcx(z1)
+                                                  + (2/sqrt(pi)) (2 z1^3 + 3 z1)),
+
+    sigma = (1-2p)^{-1/2}, s = 2 nu gamma, z1 = sqrt(s (1-2p)), as
+    J_nu = beta - T/M and J_gamma = 1 - S/(4 gamma^2 M).  The Hessian adds
+    the boundary terms of T and S at |h| = b, where the density is
+    phi(b) = e^{-s}/sqrt(2 pi).
+
+    K_c is the slope in c3 of K = J - c3/2 = nu beta + delta + log(M)/c3
+    at fixed delta = gamma - c3/2 and nu,
+
+        K_c = (delta u - nu t)/c3 - log(M)/c3^2,  u = 1 - J_gamma,  t = beta - J_nu,
+
+    since d log(M)/dc3 = gamma u - nu t.  At the inner optimum it is the
+    slope of min K in c3 (the envelope theorem), and no term of size
+    c3/2 cancels in it.
+    """
+    if not c3 > 0.0:
+        raise ValueError(f"i_uric_inner requires c3 > 0, got {c3!r}")
+    if nu < 0.0:
+        raise ValueError(f"i_uric_inner requires nu >= 0, got {nu!r}")
+    _check_beta(beta)
+    if derivatives and not nu > 0.0:  # J_nu_nu grows like nu^{-1/2} as nu -> 0
+        raise ValueError(f"i_uric_inner derivatives require nu > 0, got {nu!r}")
+    d, w, e1, e2, z1, z2, omp = _moment(c3, gamma, nu)
+    log_m = math.log1p(d)
+    value = nu * beta + gamma + log_m / c3
+    if not derivatives:
+        return value
 
     m = 1.0 + d
-    t = w * e1 / (root * m)  # T/M
+    t = w * e1 / (math.sqrt(omp) * m)  # T/M
     rest = (1.0 - w * e2) / m  # 1 - T/M = P(|h| <= b)/M
     # sigma^2 = 1/omp <= 2^53, since omp is 1 - c3/(2 gamma) rounded and
     # positive, so the sigma^3 and sigma^5 factors, applied to T/M <= 1
@@ -240,7 +254,9 @@ def i_uric_inner(c3: float, beta: float, gamma: float, nu: float, *,
         c3 * u * rest + fb / gamma,
         c3 * t * rest + fb / nu,
     )
-    return value, grad, hess
+    # gamma - c3/2 is exact where it is below c3/2 (Sterbenz).
+    slope = ((gamma - 0.5 * c3) * u - nu * t) / c3 - log_m / (c3 * c3)
+    return value, grad, hess, slope
 
 
 def upper_value_from_inner(c3: float, shape: ProblemShape, inner_value: float) -> float:

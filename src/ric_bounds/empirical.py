@@ -186,6 +186,18 @@ def _first_distinct(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _sort_columns(a: np.ndarray) -> None:
+    """Sort every column of a (k, B) array in place, by an odd-even
+    transposition network of k rounds over its rows."""
+    k = a.shape[0]
+    spare = np.empty_like(a[0])
+    for r in range(k):
+        for i in range(r % 2, k - 1, 2):
+            np.minimum(a[i], a[i + 1], out=spare)
+            np.maximum(a[i], a[i + 1], out=a[i + 1])
+            a[i] = spare
+
+
 def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.ndarray:
     """First `budget` distinct supports of the deterministic (seed, trial)
     sequence.  Prefixes of the same sequence are nested, so growing the
@@ -204,7 +216,14 @@ def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.
     limit = 50 * budget + 1000
     found = np.empty((0, k), dtype=np.intp)
     start = 0
-    stop = min(budget + budget // 4 + 64, limit)
+    # The first batch covers the expected number of counters up to the
+    # budget-th distinct support, -C ln(1 - budget/C) with C = C(n, k),
+    # plus a few standard deviations of the repeats, so one batch nearly
+    # always suffices; later batches double.  The result does not depend
+    # on the batch sizes.
+    frac = budget / math.comb(n, k)
+    draws = budget * (-math.log1p(-frac) / frac if 0.0 < frac < 1.0 else 1.0)
+    stop = min(math.ceil(draws + 4.0 * math.sqrt(max(draws - budget, 0.0))) + 16, limit)
     while True:
         state = _mix64_array(base ^ _mix64_array(np.arange(start, stop, dtype=np.uint64)))
         chosen = np.empty((k, stop - start), dtype=np.intp)
@@ -215,7 +234,8 @@ def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.
             for c in range(i):
                 taken |= chosen[c] == t
             chosen[i] = np.where(taken, j, t)
-        rows = np.concatenate([found, np.sort(chosen.T, axis=1)])
+        _sort_columns(chosen)
+        rows = np.concatenate([found, chosen.T])
         key = sum(binom[i][col] for i, col in enumerate(rows.T))
         found = rows[_first_distinct(rows, key)]
         if found.shape[0] >= budget:

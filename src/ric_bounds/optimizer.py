@@ -29,29 +29,38 @@ Two levels:
   multistart_grid >= 2 instead runs derivative-free Nelder-Mead simplexes
   in (u, v) = (log delta, log nu) from an N x N log grid of starts.
 
-* outer: one Brent minimization (golden-section plus parabolic steps,
-  derivative-free) over t = log c3 on [log(lo/4), log(4 hi)], where
-  (lo, hi) is the configured bracket, stopping when the bracket around
-  the best point is outer_tol wide in log c3.  The upper bound is
-  minimized over c3 and the lower bound maximized.  A final bracket that
-  still touches the upper end means the optimum lies at or past 4 hi:
-  c3 = 4 hi is then evaluated as a candidate and the result is reported
-  as non-converged.  The c3 -> 0 closed-form limit (the simple bound) is
-  always included as a candidate, so the returned value can never be
-  worse than the simple bound; a final bracket at the lower end is
-  non-convergence unless that limit wins.  The limit is never evaluated
-  at c3 = 0 itself, which is a removable singularity of the objective.
-  Brent's successive c3 lie close together and the inner optimum moves
-  smoothly with c3, so each inner solve after the first starts from a
-  predictor step along the optima already found (continuation, as in
-  Allgower & Georg, Numerical Continuation Methods): (log delta, log nu)
-  is interpolated linearly in log c3 between the two converged optima
-  that bracket the new c3, or extrapolated from the two nearest on one
-  side; with one converged optimum it is copied, and with none the solve
-  starts cold.  Only the start moves: a converged solve from a predicted
-  start ends within about inner_tol of min J, as a cold one does, so at
-  the default grid the evaluations of J halve and every value stays
-  equal at 6 significant digits.
+* outer: one bracketed root search over t = log c3 on [log(lo/4),
+  log(4 hi)], where (lo, hi) is the configured bracket, on the slope of
+  the objective.  The upper bound is minimized over c3 and the lower
+  bound maximized; both signed objectives are V = (min K + I_sph)/sqrt(alpha)
+  with K = J - c3/2, and by the envelope theorem (Bonnans & Shapiro,
+  Perturbation Analysis of Optimization Problems, ch. 4)
+  dV/dc3 = (K_c + dI_sph/dc3)/sqrt(alpha), where K_c is the slope of K at
+  the inner optimum that Newton's last evaluation already returns
+  (``OptimReport.slope``).  A simplex solve has no gradient; the search
+  spends one derivative evaluation at its best point instead, counted in
+  the result's evaluations.  dV/dc3 has the sign and the roots of
+  dV/dt = c3 dV/dc3, and it is nearer linear in t at small c3, where the
+  upper optima lie, so the search interpolates it rather than dV/dt.
+  From t = log(lo/4) + 0.382 (log(4 hi) - log(lo/4)) the search takes a
+  golden step downhill, then steps onto the downhill end, until the
+  slope changes sign; Brent's zeroin then finds the root to outer_tol in
+  log c3.  A downhill end whose slope still points outward ends the
+  search there: at the upper end, 4 hi is the candidate and the result
+  is reported as non-converged.  The c3 -> 0 closed-form limit
+  (the simple bound) is always included as a candidate, so the returned
+  value can never be worse than the simple bound; a search that ends at
+  the lower end is non-convergence unless that limit wins.  The limit is
+  never evaluated at c3 = 0 itself, which is a removable singularity of
+  the objective.
+  Each inner solve after the first starts from a predictor step along the
+  optima already found (continuation, as in Allgower & Georg, Numerical
+  Continuation Methods): (log delta, log nu) is interpolated linearly in
+  log c3 between the two converged optima that bracket the new c3, or
+  extrapolated from the two nearest on one side; with one converged
+  optimum it is copied, and with none the solve starts cold.  Only the
+  start moves: a converged solve from a predicted start ends within about
+  inner_tol of min J, as a cold one does.
 
 Everything is deterministic: start points fixed by the inputs and the
 visit order of the outer search, no randomized restarts, and ties
@@ -65,10 +74,13 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .bounds_lifted import (
     LiftedParams,
+    SphBranch,
+    i_sph_slope,
     i_uric_inner,
     lower_value_from_inner,
     upper_value_from_inner,
@@ -85,7 +97,8 @@ from .bounds_simple import (
 )
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(math.ulp(1.0))
+_EPS = math.ulp(1.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Multistart seed range for gamma - c3/2 and nu (log-spaced).
 _SEED_LO = 1e-3
@@ -109,14 +122,16 @@ class OptimizerConfig:
         With multistart_grid >= 2 each simplex stops once
         its three values lie within inner_tol of each other, which bounds
         their spread, not the distance to min J.
-    outer_tol: width in log c3, so a relative width in c3, at which the
-        Brent search over c3 stops.
+    outer_tol: width in log c3, so a relative width in c3, of the bracket
+        around the root of the objective's slope at which the outer search
+        stops.
     multistart_grid: 1 (the default) runs the Newton solve, from the
         outer search's predicted start or the analytic c3 -> 0 optimum;
         N >= 2 runs N**2 Nelder-Mead simplexes from an N x N log grid
         instead.
     c3_bracket: (lo, hi) for c3; the outer search runs on the bracket
-        widened 4x on each side, [lo/4, 4 hi].
+        widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
+        where the objective's slope still points outward.
     max_evals: cap on the evaluations of J per inner solve.  A Newton
         solve counts every evaluation, rejected line-search trials
         included, and stops non-converged at the cap.  The simplexes
@@ -145,13 +160,20 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 @dataclass(frozen=True)
 class OptimReport:
-    """Outcome of one inner solve: best point, bookkeeping, convergence."""
+    """Outcome of one inner solve: best point, bookkeeping, convergence.
+
+    ``slope`` is K_c = dK/dc3 at the best point, K = J - c3/2 at fixed
+    (gamma - c3/2, nu), from the evaluation that found it; at a converged
+    optimum it is the slope of min K in c3.  It is None where the solve
+    has no gradient (multistart_grid >= 2).
+    """
 
     best_params: LiftedParams
     best_value: float
     evaluations: int
     converged: bool
     restarts_used: int
+    slope: float | None
 
 
 def _nelder_mead(f, x0, step, tol, max_evals):
@@ -237,13 +259,14 @@ def _seed_grid(count: int) -> list[float]:
 def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
                   max_evals: int):
     """Damped Newton on (delta, nu) = (gamma - c3/2, nu) from the given
-    start; returns (gamma, nu, J, evaluations, converged).
+    start; returns (gamma, nu, J, evaluations, converged, K_c).
 
     Each evaluation is one i_uric_inner call with derivatives.  A step
     goes at most _TO_BOUNDARY of the way to delta = 0 or nu = 0 and is
     halved until J falls, and by _ARMIJO times the predicted decrease
-    (Armijo); a trial whose gamma rounds to c3/2 is halved without an
-    evaluation.  The solve has converged once the Newton decrement
+    (Armijo); a trial whose gamma rounds to c3/2, or whose 2 nu gamma
+    overflows, is halved without an evaluation.  The solve has converged
+    once the Newton decrement
     lambda^2 = g' H^{-1} g satisfies lambda^2/2 <= tol; J is convex, so
     that bounds J - min J to second order.  It then tries that last
     Newton step once more, without halving, and keeps it if it passes the
@@ -253,12 +276,13 @@ def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
     """
     half_c3 = 0.5 * c3
     gamma = half_c3 + delta
-    value, (g_d, g_n), (h_dd, h_dn, h_nn) = i_uric_inner(c3, beta, gamma, nu, derivatives=True)
+    value, (g_d, g_n), (h_dd, h_dn, h_nn), slope = i_uric_inner(
+        c3, beta, gamma, nu, derivatives=True)
     evals = 1
     while True:
         det = h_dd * h_nn - h_dn * h_dn
         if not (h_dd > 0.0 and det > 0.0):  # curvature lost to underflow
-            return gamma, nu, value, evals, False
+            return gamma, nu, value, evals, False, slope
         step_d = (h_dn * g_n - h_nn * g_d) / det
         step_n = (h_dn * g_d - h_dd * g_n) / det
         decrement = -(g_d * step_d + g_n * step_n)  # lambda^2
@@ -270,10 +294,10 @@ def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
             t = min(t, -_TO_BOUNDARY * nu / step_n)
         while True:
             if evals >= max_evals or t < _MIN_STEP:
-                return gamma, nu, value, evals, converged
+                return gamma, nu, value, evals, converged, slope
             trial_gamma = half_c3 + (delta + t * step_d)
-            if trial_gamma > half_c3:
-                trial_nu = nu + t * step_n
+            trial_nu = nu + t * step_n
+            if _evaluable(half_c3, trial_gamma, trial_nu):
                 trial = i_uric_inner(c3, beta, trial_gamma, trial_nu, derivatives=True)
                 evals += 1
                 # Strictly lower as well: where J's rounding hides the
@@ -281,13 +305,20 @@ def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
                 if trial[0] < value and trial[0] <= value - _ARMIJO * t * decrement:
                     break
             if converged:
-                return gamma, nu, value, evals, True
+                return gamma, nu, value, evals, True, slope
             t *= 0.5
         gamma, nu = trial_gamma, trial_nu
         if converged:
-            return gamma, nu, trial[0], evals, True
+            return gamma, nu, trial[0], evals, True, trial[3]
         delta = gamma - half_c3
-        value, (g_d, g_n), (h_dd, h_dn, h_nn) = trial
+        value, (g_d, g_n), (h_dd, h_dn, h_nn), slope = trial
+
+
+def _evaluable(half_c3: float, gamma: float, nu: float) -> bool:
+    """Whether the derivative path can evaluate J at (gamma, nu): gamma
+    does not round to c3/2 and 2 nu gamma is finite (where it overflows,
+    erfcx gives 0 and the derivatives divide by it)."""
+    return gamma > half_c3 and 2.0 * nu * gamma < math.inf
 
 
 def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None, *,
@@ -300,7 +331,8 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     1. ``start``, when given and feasible.  The outer search passes its
        predictor step here: (log delta, log nu) interpolated linearly in
        log c3 through the optima it has already found.  A ``start`` whose
-       gamma rounds to c3/2 is skipped without an evaluation.
+       gamma rounds to c3/2, or whose 2 nu gamma overflows, is skipped
+       without an evaluation.
     2. The analytic c3 -> 0 optimum, the cold start of a solve without
        ``start``.
     3. The c3 -> inf optimum, where it exists.
@@ -333,13 +365,14 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
                 best = run
             if run[4] or evals >= cfg.max_evals:
                 break
-        gamma, nu, value, _evals, converged = best
+        gamma, nu, value, _evals, converged, slope = best
         return OptimReport(
             best_params=LiftedParams(c3=c3, gamma=gamma, nu=nu),
             best_value=value,
             evaluations=evals,
             converged=converged,
             restarts_used=starts,
+            slope=slope,
         )
 
     def objective(x):
@@ -379,63 +412,80 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
         evaluations=total_evals,
         converged=best_run_converged,
         restarts_used=starts_run,
+        slope=None,
     )
 
 
-def _brent_minimize(f, a, b, tol):
-    """Brent's derivative-free minimization of f on [a, b]: golden-section
-    steps plus parabolic steps through the three best points, as in
-    fminbound.  Stops once the bracket around the best point is about tol
-    wide.  Returns the best evaluated (value, x), ties to the smaller x,
-    and the final bracket (a, b); an end of [a, b] is never evaluated."""
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
+def _slope_search(f, a, b, tol):
+    """Minimize over [a, b] a function f(x) -> (value, slope) by a bracketed
+    root search on its slope, which may be the derivative times any
+    positive factor.
+
+    From x = a + 0.382 (b - a) it steps downhill twice, a golden step
+    toward the downhill end and then onto that end, until the slope
+    changes sign; an end whose slope still points out of [a, b] ends the
+    search there.  Once the slope changes sign, Brent's zeroin
+    (Algorithms for Minimization without Derivatives, ch. 4) finds its
+    root to about tol in x.  Returns the best evaluated (value, x), ties
+    to the smaller x, and the end of [a, b] where the search stopped, or
+    None when it found a root.
+    """
+    x = a + _GOLDEN * (b - a)
+    fx, gx = f(x)
     best = (fx, x)
-    d = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return best, a, b
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            # Accept the parabola's vertex only inside the bracket and for a
-            # step under half the one before last, else fall back to golden.
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if xm >= x else -tol1
-                golden = False
-        if golden:
-            e = a - x if x >= xm else b - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
+    if gx == 0.0:
+        return best, None
+    end = b if gx < 0.0 else a
+    for u in (x + _GOLDEN * (end - x), end):
+        fu, gu = f(u)
         best = min(best, (fu, u))
-        if fu <= fx:
-            if u >= x:
-                a = x
+        if (gu > 0.0) != (gx > 0.0) or gu == 0.0:
+            return _zeroin(f, x, gx, u, gu, tol, best), None
+        x, gx = u, gu
+    return best, end
+
+
+def _zeroin(f, a, fa, b, fb, tol, best):
+    """Brent's zeroin on the slope of f over [a, b], where fa and fb differ
+    in sign, until the bracket is about tol wide; returns the best
+    evaluated (value, x), starting from ``best``."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return best
+        interpolated = False
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
             else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+                p = -p
+            # Accept the step only well inside the bracket and under half
+            # the step before last.
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+                interpolated = True
+        if not interpolated:  # bisection
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        value, fb = f(b)
+        best = min(best, (value, b))
 
 
 @functools.lru_cache(maxsize=256)
@@ -458,14 +508,14 @@ def _asymptotic_seed(c3: float, beta: float) -> tuple[float, float]:
 def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None):
     """The (delta, nu) starts of the Newton inner solve, in order: a given
     start, the c3 -> 0 optimum, then the c3 -> inf optimum.  The given and
-    the c3 -> inf start are skipped unless nu is in (0, inf) and
-    gamma = c3/2 + delta is finite and does not round to c3/2.  Lazy, so
-    a start that is not needed costs nothing."""
+    the c3 -> inf start are skipped unless nu > 0, gamma = c3/2 + delta
+    does not round to c3/2 and 2 nu gamma is finite.  Lazy, so a start
+    that is not needed costs nothing."""
     half_c3 = 0.5 * c3
 
     def feasible(seed):
         delta, nu = seed
-        return 0.0 < nu < math.inf and math.inf > half_c3 + delta > half_c3
+        return 0.0 < nu and _evaluable(half_c3, half_c3 + delta, nu)
 
     if start is not None and feasible(start):
         yield start
@@ -481,8 +531,8 @@ def _predict_start(optima: list[tuple[float, float, float]],
     """Predicted (delta, nu) of the inner optimum at log c3 = t from the
     converged optima so far, sorted by log c3: (log delta, log nu) is
     linear in t through the two optima that bracket t, or else the two
-    nearest on one side.  One optimum is copied; with none there is no
-    prediction."""
+    nearest on one side.  One optimum is copied; with none, or where the
+    prediction overflows, there is no prediction."""
     if not optima:
         return None
     if len(optima) == 1:
@@ -492,6 +542,8 @@ def _predict_start(optima: list[tuple[float, float, float]],
         (t0, d0, n0), (t1, d1, n1) = optima[i - 1], optima[i]
         w = (t - t0) / (t1 - t0)
         log_delta, log_nu = d0 + w * (d1 - d0), n0 + w * (n1 - n0)
+    if max(log_delta, log_nu) > _LOG_MAX:
+        return None
     return math.exp(log_delta), math.exp(log_nu)
 
 
@@ -504,10 +556,15 @@ def _limit_params(beta: float) -> LiftedParams:
 def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> BoundResult:
     """Shared outer search; the lower family is maximized by negation."""
     upper = kind == KIND_UPPER_LIFTED
-    beta = shape.beta
+    beta, alpha = shape.beta, shape.alpha
+    branch = SphBranch.PLUS if upper else SphBranch.MINUS
     solves: dict[float, OptimReport] = {}
     # (log c3, log delta, log nu) of every converged inner solve, by log c3.
     optima: list[tuple[float, float, float]] = []
+    slope_evals = 0
+    lo, hi = cfg.c3_bracket
+    t_lo, t_hi = math.log(lo / 4.0), math.log(4.0 * hi)
+    ends = {t_lo: lo / 4.0, t_hi: 4.0 * hi}
 
     def solve(c3: float) -> OptimReport:
         report = solves.get(c3)
@@ -519,39 +576,39 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
                 bisect.insort(optima, (t, math.log(p.gamma - 0.5 * c3), math.log(p.nu)))
         return report
 
-    def signed_objective(c3: float) -> float:
+    def signed_objective(t: float) -> tuple[float, float]:
+        """(V, dV/dc3) at c3 = e^t, V the upper objective or the negated
+        lower one; both are (min K + I_sph)/sqrt(alpha)."""
+        nonlocal slope_evals
+        c3 = ends[t] if t in ends else math.exp(t)
         report = solve(c3)
+        slope = report.slope
+        if slope is None:  # a simplex solve: one derivative evaluation at its best point
+            p = report.best_params
+            slope = i_uric_inner(c3, beta, p.gamma, p.nu, derivatives=True)[3]
+            slope_evals += 1
         if upper:
-            return upper_value_from_inner(c3, shape, report.best_value)
-        return -lower_value_from_inner(c3, shape, report.best_value)
+            value = upper_value_from_inner(c3, shape, report.best_value)
+        else:
+            value = -lower_value_from_inner(c3, shape, report.best_value)
+        return value, (slope + i_sph_slope(c3, alpha, branch)) / math.sqrt(alpha)
 
-    lo, hi = cfg.c3_bracket
-    t_lo, t_hi = math.log(lo / 4.0), math.log(4.0 * hi)
-    (best_val, best_t), a, b = _brent_minimize(
-        lambda t: signed_objective(math.exp(t)), t_lo, t_hi, cfg.outer_tol
-    )
-    candidates = [(best_val, math.exp(best_t))]
-    # Brent never evaluates an end of its interval.  A final bracket at the
-    # upper end means the optimum lies at or past it: 4 * hi itself becomes
-    # a candidate and the result is non-converged.  At the lower end the
-    # c3 -> 0 limit below is the candidate, and the result is non-converged
-    # unless the limit wins.
-    upper_edge = b == t_hi
-    if upper_edge:
-        candidates.append((signed_objective(4.0 * hi), 4.0 * hi))
+    (best_val, best_t), edge = _slope_search(signed_objective, t_lo, t_hi, cfg.outer_tol)
+    best_c3 = ends[best_t] if best_t in ends else math.exp(best_t)
     # The c3 -> 0 limit is exactly the simple bound; listing it with c3 = 0
     # both enforces never-worse-than-limit and wins ties at the smallest c3.
     limit_value = simple_upper(shape).value if upper else simple_lower(shape).value
-    candidates.append((limit_value if upper else -limit_value, 0.0))
-
-    best_val, best_c3 = min(candidates)
+    best_val, best_c3 = min((best_val, best_c3), (limit_value if upper else -limit_value, 0.0))
+    # A search that stopped at the upper end has its optimum at or past
+    # 4 hi: non-converged.  At the lower end the c3 -> 0 limit is the
+    # optimum, so the result is converged only if the limit wins.
     if best_c3 == 0.0:
-        params = _limit_params(shape.beta)
-        converged = not upper_edge
+        params = _limit_params(beta)
+        converged = edge != t_hi
     else:
-        report = solve(best_c3)
+        report = solves[best_c3]
         params = report.best_params
-        converged = report.converged and not upper_edge and a != t_lo
+        converged = report.converged and edge is None
 
     value = best_val if upper else -best_val
     return BoundResult(
@@ -559,7 +616,7 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
         value=value,
         params=params,
         converged=converged,
-        evaluations=sum(report.evaluations for report in solves.values()),
+        evaluations=sum(report.evaluations for report in solves.values()) + slope_evals,
     )
 
 

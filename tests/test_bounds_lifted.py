@@ -22,7 +22,8 @@ from ric_bounds import (
     simple_lower,
     simple_upper,
 )
-from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
+from ric_bounds.bounds_lifted import i_sph_slope, lower_value_from_inner, upper_value_from_inner
+from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN
 
 from oracles import CERT_DPS, i_sph_mp, inner_objective_mp, moment_monte_carlo
 
@@ -82,6 +83,21 @@ class TestISph:
         assert upper_value_from_inner(c3, shape, inner) == pytest.approx(1.7129, abs=5e-3)
 
 
+    @pytest.mark.parametrize("branch", [SphBranch.PLUS, SphBranch.MINUS])
+    @pytest.mark.parametrize("alpha", [0.1, 0.9])
+    def test_slope_matches_extended_precision(self, branch, alpha):
+        """i_sph_slope equals mp.diff of the 50-digit spherical term to
+        1e-11 relative for c3 = 2^-14 .. 2^14, the PLUS branch included,
+        where 2 ghat - c3 cancels as c3 grows."""
+        for k in range(-14, 15, 2):
+            c3 = 2.0**k
+            with mp.workdps(CERT_DPS):
+                exact = mp.diff(lambda c: i_sph_mp(c, alpha, branch is SphBranch.PLUS),
+                                mp.mpf(c3))
+                err = abs(float((i_sph_slope(c3, alpha, branch) - exact) / exact))
+            assert err <= 1e-11, (c3, err)
+
+
 class TestBigIUric:
     def test_nu_zero_collapses_to_chi_square_moment(self):
         """At nu = 0 the max never clips, so the moment is 1/sqrt(1-2p)."""
@@ -133,8 +149,8 @@ class TestBigIUric:
         value = big_i_uric(LiftedParams(30.0, 400.0, 30.0))  # e^{-24000} underflows
         assert value >= 1.0 and math.isfinite(value)
         assert math.isfinite(big_i_uric(LiftedParams(5.0, 50.0, 8.0)))
-        j, grad, hess = i_uric_inner(30.0, 0.1, 400.0, 30.0, derivatives=True)
-        assert all(math.isfinite(x) for x in (j, *grad, *hess))
+        j, grad, hess, slope = i_uric_inner(30.0, 0.1, 400.0, 30.0, derivatives=True)
+        assert all(math.isfinite(x) for x in (j, *grad, *hess, slope))
 
 
 class TestInnerObjective:
@@ -199,7 +215,7 @@ class TestInnerObjective:
             beta = math.exp(rng.uniform(math.log(1e-4), math.log(0.9)))
             gamma = 0.5 * c3 + math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
             nu = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
-            value, grad, hess = i_uric_inner(c3, beta, gamma, nu, derivatives=True)
+            value, grad, hess, _slope = i_uric_inner(c3, beta, gamma, nu, derivatives=True)
             with mp.workdps(CERT_DPS):
                 point = (mp.mpf(gamma), mp.mpf(nu))
 
@@ -217,23 +233,46 @@ class TestInnerObjective:
 
     @pytest.mark.parametrize("beta", [0.01, 0.5, 0.999999])
     def test_derivative_path_value_accurate_at_small_c3(self, beta):
-        """At the inner optimum for c3 = 2^-16 .. 1, where M - 1 = O(c3)
-        cancels in the 4-argument path (errors up to ~1e-11 in J), the
-        derivative path's J equals the 50-digit J to 1e-15."""
+        """At the inner optimum for c3 = 2^-16 .. 1, where the erfcx
+        difference in M - 1 = O(c3) cancels unless it is summed as a series,
+        J equals the 50-digit J to 1e-15, from the 4-argument form and the
+        derivative path alike, and the two are the same float."""
         for k in range(-16, 1, 2):
             c3 = 2.0**k
             p = minimize_inner(c3, beta).best_params
             value = i_uric_inner(c3, beta, p.gamma, p.nu, derivatives=True)[0]
+            assert i_uric_inner(c3, beta, p.gamma, p.nu) == value, c3
             with mp.workdps(CERT_DPS):
                 exact = inner_objective_mp(c3, beta, p.gamma, p.nu)
                 assert abs(value - exact) <= 1e-15, (c3, float(value - exact))
+
+    @pytest.mark.parametrize("beta", [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX])
+    def test_c3_slope_matches_extended_precision(self, beta):
+        """At the inner optimum for c3 = 2^-16 .. 2^10 the slope the solve
+        reports, K_c, equals mp.diff in c3 of the 60-digit K = J - c3/2 at
+        fixed (gamma - c3/2, nu) to 1e-8 relative.  It forms no term of
+        size c3/2, so nothing cancels as c3 grows."""
+        for k in range(-16, 11):
+            c3 = 2.0**k
+            report = minimize_inner(c3, beta)
+            p = report.best_params
+            assert report.slope == i_uric_inner(c3, beta, p.gamma, p.nu, derivatives=True)[3]
+            with mp.workdps(60):
+                delta = mp.mpf(p.gamma) - mp.mpf(c3) / 2
+
+                def k_mp(c):
+                    return inner_objective_mp(c, beta, c / 2 + delta, p.nu) - c / 2
+
+                exact = mp.diff(k_mp, mp.mpf(c3))
+                err = abs(float((report.slope - exact) / exact))
+            assert err <= 1e-8, (c3, err)
 
     def test_series_ends_where_its_sum_rounds_negative(self):
         """Far from any optimum, at gamma = 1e300 (a start the caller may
         pass to the inner solve), eps e2 underflows and the first series
         term rounds negative; the sum still ends, and J is its linear
         part."""
-        value, grad, _hess = i_uric_inner(1e-6, 0.1, 1e300, 1.0, derivatives=True)
+        value, grad, _hess, _slope = i_uric_inner(1e-6, 0.1, 1e300, 1.0, derivatives=True)
         assert value == 1e300 and grad == (1.0, 0.1)
 
     def test_derivatives_require_positive_nu(self):

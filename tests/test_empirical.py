@@ -16,6 +16,7 @@ from ric_bounds.empirical import (
     _extreme_gram_eigs,
     _first_distinct,
     _sampled_supports,
+    _sort_columns,
     extremal_singular,
 )
 
@@ -212,6 +213,17 @@ class TestSamplerMatchesReference:
         want = sampled_supports_loop(n, k, budget, seed, trial)
         assert got.dtype == want.dtype == np.intp
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 40])
+    def test_sorting_network_matches_np_sort(self, k):
+        """The in-place network sorts each column like np.sort, ties and
+        already sorted or reversed columns included."""
+        a = np.random.default_rng(k).integers(0, 5, size=(k, 300)).astype(np.intp)
+        a[:, 0] = np.arange(k)
+        a[:, 1] = np.arange(k)[::-1]
+        want = np.sort(a, axis=0)
+        _sort_columns(a)
+        assert np.array_equal(a, want)
 
     def test_shared_key_resolves_by_full_rows(self):
         """With one key for every row, all rows are compared in full, and

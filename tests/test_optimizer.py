@@ -207,12 +207,14 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("c3,beta", [(2.0**16, 0.005), (2.0**14, 0.07), (0.5, 0.1)])
     def test_start_that_rounds_to_the_boundary_is_skipped(self, c3, beta):
-        """gamma = c3/2 + delta rounds to c3/2: the start costs no
-        evaluation and the solve is the cold one, bit for bit."""
+        """gamma = c3/2 + delta rounds to c3/2, or 2 nu gamma overflows
+        (where erfcx is 0 and the derivatives would divide by it): the start
+        costs no evaluation and the solve is the cold one, bit for bit."""
         cold = minimize_inner(c3, beta)
         tiny = math.ulp(0.5 * c3) / 4.0
         assert 0.5 * c3 + tiny == 0.5 * c3
-        for start in [(tiny, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.inf)]:
+        for start in [(tiny, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.inf),
+                      (1e200, 1e200), (1.0, 1e308)]:
             assert minimize_inner(c3, beta, start=start) == cold, start
 
     @pytest.mark.parametrize("c3,beta", [(0.5, 0.1), (16.0, 0.5), (1e-3, 0.9)])
@@ -241,7 +243,7 @@ class TestWarmStart:
         def scripted(c3_, beta_, delta, nu, tol, max_evals):
             seen.append((delta, nu, max_evals))
             value = (2.0, 1.0, 3.0)[len(seen) - 1]
-            return c3_ / 2.0 + delta, nu, value, 5, False
+            return c3_ / 2.0 + delta, nu, value, 5, False, -value
 
         monkeypatch.setattr(optimizer, "_newton_inner", scripted)
         report = minimize_inner(c3, beta, OptimizerConfig(max_evals=100), start=(0.3, 0.7))
@@ -249,7 +251,7 @@ class TestWarmStart:
         assert [entry[2] for entry in seen] == [100, 95, 90]
         assert seen[0][:2] == (0.3, 0.7)
         assert far_seed == optimizer._asymptotic_seed(c3, beta)
-        assert report.best_value == 1.0 and not report.converged
+        assert report.best_value == 1.0 and report.slope == -1.0 and not report.converged
         assert report.best_params.nu == cold_seed[1]
         assert (report.evaluations, report.restarts_used) == (15, 3)
 
@@ -304,7 +306,9 @@ class TestPredictedStartsAlongC3:
         assert len(warm) == 60
         for w, c in zip(warm, cold):
             assert w[:3] == c[:3]
-        assert 2 * sum(w[3] for w in warm) < sum(c[3] for c in cold)
+        warm_evals = sum(w[3] for w in warm)
+        assert warm_evals < sum(c[3] for c in cold)
+        assert warm_evals <= 3300
 
     def test_prediction_interpolates_in_log_space(self):
         optima = [(0.0, math.log(2.0), math.log(8.0)), (2.0, math.log(8.0), math.log(2.0))]
@@ -317,6 +321,9 @@ class TestPredictedStartsAlongC3:
         three = optima + [(3.0, 0.0, 0.0)]
         assert predict(three, 2.5) == pytest.approx((math.sqrt(8.0), math.sqrt(2.0)))
         assert predict(three, 10.0) == pytest.approx((8.0 ** -7, 2.0 ** -7))
+        # Two optima 1e-6 apart in log c3 extrapolated 1 away: exp(1000)
+        # overflows, so there is no prediction and the solve starts cold.
+        assert predict([(0.0, 0.0, 0.0), (1e-6, 1e-3, 0.0)], 1.0) is None
 
 
 class TestOptimizeUpper:
@@ -385,50 +392,62 @@ class TestSearchProperties:
             assert perturbed >= base - cfg.inner_tol
 
 
-class TestBrentMinimize:
+class TestSlopeSearch:
+    """``optimizer._slope_search`` on functions given as (value, slope)."""
+
     TOL = 1e-6
 
-    def test_interior_minimum_within_tolerance(self):
-        seen = []
-
-        def f(t):
-            value = (t - 0.3) ** 2 + math.sin(t) ** 4
+    @staticmethod
+    def _recorded(f, df, seen):
+        def fn(t):
+            value = f(t)
             seen.append((value, t))
-            return value
+            return value, df(t)
 
-        best, a, b = optimizer._brent_minimize(f, -2.0, 3.0, self.TOL)
-        assert a < best[1] < b and b - a <= 2.0 * self.TOL
+        return fn
+
+    def test_interior_root_within_tolerance(self):
+        seen = []
+        fn = self._recorded(lambda t: (t - 0.3) ** 2 + math.sin(t) ** 4,
+                            lambda t: 2.0 * (t - 0.3) + 4.0 * math.sin(t) ** 3 * math.cos(t),
+                            seen)
+        best, edge = optimizer._slope_search(fn, -2.0, 3.0, self.TOL)
+        assert edge is None
         assert best == min(seen)
-        assert len(seen) < 30
+        assert abs(best[1] - 0.2652344593) <= self.TOL  # the minimizer, to 1e-10
+        assert len(seen) < 12
 
     @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["falls-to-upper", "falls-to-lower"])
     def test_monotone_keeps_the_far_end(self, slope):
-        """A monotone function leaves its descent end in the final bracket,
-        unevaluated; the outer search reads that as an edge optimum."""
+        """A monotone function ends the search at its descent end, after a
+        golden step toward it; the outer search reads that as an edge
+        optimum."""
         lo, hi = -1.5, 2.0
         seen = []
-
-        def f(t):
-            seen.append(t)
-            return -slope * t
-
-        (_fx, x), a, b = optimizer._brent_minimize(f, lo, hi, self.TOL)
+        fn = self._recorded(lambda t: -slope * t, lambda t: -slope, seen)
+        best, edge = optimizer._slope_search(fn, lo, hi, self.TOL)
         end = hi if slope > 0 else lo
-        assert (b == hi) if slope > 0 else (a == lo)
-        assert abs(x - end) <= 2.0 * self.TOL
-        assert lo < min(seen) and max(seen) < hi
+        assert edge == end and best == (-slope * end, end)
+        assert len(seen) == 3 and seen[-1][1] == end
+
+    def test_slope_fading_toward_an_end_stops_there(self):
+        """A slope that tends to 0 without changing sign, as the lower
+        family's does toward c3 = inf, also ends at the edge in three
+        evaluations."""
+        seen = []
+        fn = self._recorded(lambda t: math.exp(-t), lambda t: -math.exp(-t), seen)
+        best, edge = optimizer._slope_search(fn, -10.0, 6.0, self.TOL)
+        assert edge == 6.0 and best == (math.exp(-6.0), 6.0) and len(seen) == 3
 
     def test_ties_resolve_to_the_smaller_point(self):
+        """On a plateau of equal values around the root, the smallest
+        evaluated point of the plateau wins."""
         seen = []
-
-        def plateau(t):
-            value = max(abs(t) - 1.0, 0.0)
-            seen.append((value, t))
-            return value
-
-        best, _a, _b = optimizer._brent_minimize(plateau, -4.0, 3.0, self.TOL)
-        assert sum(value == 0.0 for value, _t in seen) > 1
-        assert best == min(seen)
+        fn = self._recorded(lambda t: max(abs(t) - 1.0, 0.0), lambda t: t, seen)
+        best, edge = optimizer._slope_search(fn, -4.0, 3.0, self.TOL)
+        plateau = [t for value, t in seen if value == 0.0]
+        assert edge is None and len(plateau) > 1
+        assert best == min(seen) == (0.0, min(plateau))
 
 
 class TestOuterSearchMatchesReference:
@@ -465,6 +484,28 @@ class TestEdgeBehavior:
         result = optimize_lower(shape, cfg)
         assert not result.converged
         assert result.value >= simple_lower(shape).value - 1e-6
+
+    EDGE_CELLS = [(0.1, 0.7), (0.3, 0.7)] + [(alpha, 0.9) for alpha in DEFAULT_ALPHAS]
+
+    @pytest.mark.parametrize("alpha,rho", EDGE_CELLS)
+    def test_default_edge_cells_cost_three_solves(self, alpha, rho, monkeypatch):
+        """The 7 default lower cells whose objective still rises at
+        c3 = 4 hi: the slope there points out of the range, so the search
+        stops after at most 3 inner solves, non-converged, at c3 = 4 hi."""
+        solves = []
+        inner = optimizer.minimize_inner
+
+        def counted(c3, beta, config=None, *, start=None):
+            solves.append(c3)
+            return inner(c3, beta, config, start=start)
+
+        monkeypatch.setattr(optimizer, "minimize_inner", counted)
+        shape = ProblemShape.from_rho(alpha, rho)
+        result = optimize_lower(shape)
+        assert not result.converged
+        assert len(solves) <= 3
+        assert result.params.c3 == 4.0 * OptimizerConfig().c3_bracket[1]
+        assert result.value >= simple_lower(shape).value
 
     def test_bound_result_params_presence_contract(self):
         from ric_bounds import BoundResult, LiftedParams
