@@ -29,12 +29,16 @@ gathered from a single precomputed A^T A per trial.  Only the per-trial
 extremes are needed, so the blocks with extreme diagonals in an evenly
 strided sample of the supports set incumbents, a batched Cholesky
 screen then discards every support that provably cannot beat the
-current extremes, and eigvalsh runs on the rest.  The reported extremes
-are exactly those of eigvalsh over all supports.
+current extremes, and eigvalsh runs on the rest.  The screen runs in
+float32 on a copy of A^T A rescaled by a power of two, gathering each
+block's lower triangle once, with a margin sized by the backward error
+of float32 Cholesky; eigvalsh runs in float64 on the original.  The
+reported extremes are exactly those of eigvalsh over all supports.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -198,6 +202,17 @@ def _sort_columns(a: np.ndarray) -> None:
             a[i] = spare
 
 
+@functools.lru_cache(maxsize=8)
+def _colex_weights(n: int, k: int) -> np.ndarray:
+    """Read-only (k, n) table of C(s, i + 1) mod 2^64, the colex rank
+    weight of value s in sorted position i."""
+    binom = np.array(
+        [[math.comb(s, i + 1) & _MASK64 for s in range(n)] for i in range(k)], dtype=np.uint64
+    )
+    binom.setflags(write=False)
+    return binom
+
+
 def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.ndarray:
     """First `budget` distinct supports of the deterministic (seed, trial)
     sequence.  Prefixes of the same sequence are nested, so growing the
@@ -210,9 +225,7 @@ def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.
     wraps in uint64 and is injective while C(n, k) < 2^64.  The budget-th
     distinct support must come from a counter below 50 * budget + 1000."""
     base = _mix64_array(_trial_base(seed, trial) ^ np.uint64(0x5851F42D4C957F2D))
-    binom = np.array(
-        [[math.comb(s, i + 1) & _MASK64 for s in range(n)] for i in range(k)], dtype=np.uint64
-    )
+    binom = _colex_weights(n, k)
     limit = 50 * budget + 1000
     found = np.empty((0, k), dtype=np.intp)
     start = 0
@@ -276,17 +289,47 @@ def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[flo
     most about _CHUNK supports, the blocks with the smallest and the
     largest diagonal entries (lambda_min <= min diag <= max diag <=
     lambda_max) go through eigvalsh and give incumbents lo and hi.  Then,
-    chunk by chunk, a block is skipped when Cholesky proves it cannot
-    beat the current extremes: G - (lo + margin) I and (hi - margin) I - G
-    both factor.  The margin, 1e-9 times the largest diagonal entry of
-    A^T A, is absolute, so it holds when lambda_min is near 0, and it is
-    orders of magnitude above the rounding error of either the
-    factorization or eigvalsh.  The remaining blocks go through the same
-    eigvalsh, so the extremes do not depend on which incumbents were
-    chosen."""
+    chunk by chunk, a block G is skipped when a float32 Cholesky proves
+    that it cannot beat the current extremes: G - (lo + margin) I and
+    (hi - margin) I - G both factor.  The remaining blocks go through the
+    same eigvalsh on the float64 gram_full, so the extremes do not depend
+    on which incumbents were chosen.
+
+    The screen reads a float32 copy of s * gram_full, where s is the power
+    of two that puts the largest diagonal entry d into [1, 2): the copy
+    cannot overflow, and scaling by s is exact.  Let u = eps32 / 2 and
+    r = max(d, hi).  For a block G that passes, the margin has to cover,
+    in the 2-norm:
+    - the cast: |fl(g_ij) - g_ij| <= u |g_ij| <= u sqrt(g_ii g_jj) in a
+      Gram block, at most u tr(G) <= u k r in all (gradual underflow
+      adds at most 2^-149 per entry, far below u s d >= u);
+    - the diagonal shift: rounding lo + margin or hi - margin to float32
+      and one subtraction per diagonal entry, at most 3 u r;
+    - Cholesky: if it completes with positive pivots on the float32
+      matrix A, then R^T R = A + dA is positive definite with
+      |dA| <= g |R^T| |R|, g = (k + 1) u / (1 - (k + 1) u) (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3).
+      The squared column norms of R are the diagonal of A + dA, so
+      ||dA|| <= g tr(A) / (1 - g) <= k (k + 1) u r (1 + O(k u)): each
+      diagonal entry of G - (lo + margin) I or (hi - margin) I - G is at
+      most r;
+    - eigvalsh: a backward-stable float64 solve errs by O(k eps64 tr(G)),
+      some 2^-28 of the Cholesky term.
+    So a skipped block has an eigvalsh minimum of at least
+    lo + margin - (k^2 + 2 k + 3) u r (1 + O(k u)) and a maximum of at
+    most hi - margin + the same.  margin = 4 k (k + 1) eps32 r, which is
+    8 k (k + 1) u r, exceeds that error at every k >= 1 while
+    k (k + 1) eps32 is small; it is 3.4e-5 r at k = 8.  hi enters r
+    because (hi - margin) I - G has diagonal entries up to hi, and hi
+    can reach k d."""
     n = gram_full.shape[0]
+    k = supports.shape[1]
     diag = np.diagonal(gram_full)
-    margin = 1e-9 * float(diag.max())
+    top = float(diag.max())
+    shift = 1 - math.frexp(top)[1]
+    # Row-major flat float32 copy of s * gram_full, s = 2^shift.
+    gram32 = np.ldexp(gram_full, shift).astype(np.float32).ravel()
+    slack = 4.0 * k * (k + 1) * float(np.finfo(np.float32).eps)
     lam_min = math.inf
     lam_max = -math.inf
 
@@ -304,15 +347,22 @@ def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[flo
         np.argpartition(-diag[sample].max(axis=1), count - 1)[:count],
     )])
 
+    on_diag = (np.arange(k), np.arange(k))
     for start in range(0, supports.shape[0], _CHUNK):
         block = supports[start : start + _CHUNK]
-        # Column-major flat indices into n x n: the gathered blocks come
-        # out (k, k, B), so each Cholesky step is a few vector ops.
+        # The blocks come out (k, k, B), so each Cholesky step is a few
+        # vector ops; only the lower triangle is gathered, and only it is
+        # read.
         cols = np.ascontiguousarray(block.T)
-        flat = cols[:, None, :] * n + cols[None, :, :]
-        above_lo = _cholesky_succeeds(np.take(gram_full - (lam_min + margin) * np.eye(n), flat))
-        below_hi = _cholesky_succeeds(np.take((lam_max - margin) * np.eye(n) - gram_full, flat))
-        skip = above_lo & below_hi
+        offsets = cols * n
+        lower = np.empty((k, k, block.shape[0]), dtype=np.float32)
+        for i in range(k):
+            np.take(gram32, offsets[i] + cols[: i + 1], out=lower[i, : i + 1])
+        upper = np.negative(lower)
+        margin = slack * max(top, lam_max)
+        lower[on_diag] -= np.float32(math.ldexp(lam_min + margin, shift))
+        upper[on_diag] += np.float32(math.ldexp(lam_max - margin, shift))
+        skip = _cholesky_succeeds(lower) & _cholesky_succeeds(upper)
         if not skip.all():
             solve(block[~skip])
     return lam_min, lam_max

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,7 @@ class TestScreenMatchesReference:
             (5, 60, 4, _CHUNK - 1),
             (5, 60, 4, _CHUNK + 1),
             (8, 16, 3, _INCUMBENTS - 5),  # fewer supports than incumbents
+            (14, 24, 12, 3000),  # margin beyond the benchmark's k = 8
         ],
     )
     @pytest.mark.parametrize("duplicate", [False, True])
@@ -291,6 +293,48 @@ class TestScreenMatchesReference:
         shuffled = supports[np.random.default_rng(seed).permutation(supports.shape[0])]
         assert _extreme_gram_eigs(gram, shuffled) == want
         assert want == extreme_gram_eigs_unscreened(gram, supports)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 3e-8, 1e-8, 1e-9])
+    def test_near_tie_needs_the_float32_margin(self, delta):
+        """Two supports are twins of the extreme blocks: columns 52-55 copy
+        the block with the largest eigenvalue scaled by sqrt(1 + delta),
+        columns 56-59 the one with the smallest scaled by sqrt(1 - delta).
+        Each twin beats its original by a relative delta, closer than
+        float32 can tell, and sits in the last chunk where the strided
+        incumbent sample does not look, so only the screen's margin sends
+        it to eigvalsh."""
+        n, k = 60, 4
+        others = np.array(list(itertools.islice(itertools.combinations(range(n - 2 * k), k),
+                                                3 * _CHUNK - 2)), dtype=np.intp)
+        supports = np.concatenate([others, [np.arange(n - 2 * k, n - k), np.arange(n - k, n)]])
+        step = -(-supports.shape[0] // _CHUNK)
+        assert supports.shape[0] % step == 0  # the sample skips the last step - 1 supports
+        for seed in range(20):
+            a = np.random.default_rng(seed).standard_normal((12, n))
+            gram = a.T @ a
+            eigs = np.linalg.eigvalsh(gram[others[:, :, None], others[:, None, :]])
+            a[:, n - 2 * k : n - k] = a[:, others[eigs[:, -1].argmax()]] * math.sqrt(1.0 + delta)
+            a[:, n - k :] = a[:, others[eigs[:, 0].argmin()]] * math.sqrt(1.0 - delta)
+            gram = a.T @ a
+            assert _extreme_gram_eigs(gram, supports) == extreme_gram_eigs_unscreened(
+                gram, supports), f"seed {seed}"
+
+    @pytest.mark.parametrize("case", ["2^130", "2^-130", "2^200", "2^-200", "2^600", "2^-600",
+                                      "2^1000", "2^-1000", "column 0 by 2^150"])
+    def test_extreme_scales(self, case):
+        """Grams far outside the float32 range screen without a warning and
+        keep the extremes of eigvalsh on every block."""
+        gram = _random_gram(6, 40, 0)
+        if case.startswith("column"):
+            gram[0, :] *= 2.0**150
+            gram[:, 0] *= 2.0**150
+        else:
+            gram *= 2.0 ** int(case[2:])
+        supports = np.array(list(itertools.combinations(range(40), 3)), dtype=np.intp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _extreme_gram_eigs(gram, supports)
+        assert got == extreme_gram_eigs_unscreened(gram, supports)
 
     def test_screen_skips_most_blocks(self, monkeypatch):
         """At both benchmark shapes, few blocks reach eigvalsh."""
