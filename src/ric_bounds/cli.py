@@ -101,15 +101,14 @@ def _compute_bound(kind: str, shape: ProblemShape, config: OptimizerConfig) -> B
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = OptimizerConfig()
     parser.add_argument("--inner-tol", type=float, default=defaults.inner_tol,
-                        help="inner stop: Newton decrement bound on J - min J, or the "
-                             "simplex value spread with --multistart N >= 2")
+                        help="inner stop: Newton decrement bound on J - min J")
     parser.add_argument("--outer-tol", type=float, default=defaults.outer_tol,
                         help="width in log c3 (a relative width in c3) at which the "
                              "c3 search stops")
     parser.add_argument("--multistart", type=int, default=defaults.multistart_grid,
-                        help="inner start points per axis: 1 runs one damped Newton solve "
-                             "from the c3 -> 0 optimum, N >= 2 runs N x N Nelder-Mead "
-                             "simplexes from a log grid")
+                        help="inner start points per axis: 1 runs damped Newton until a "
+                             "start converges, N >= 2 runs it from the analytic starts "
+                             "and an N x N log grid and keeps the lowest J")
     parser.add_argument("--c3-min", type=float, default=defaults.c3_bracket[0])
     parser.add_argument("--c3-max", type=float, default=defaults.c3_bracket[1])
     parser.add_argument("--max-evals", type=int, default=defaults.max_evals,

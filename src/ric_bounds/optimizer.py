@@ -6,7 +6,7 @@ Two levels:
   gamma > c3/2, nu >= 0.  J is jointly convex there (a log-partition of
   functions convex in (gamma, nu)), and its minimum is interior: at
   nu = 0, dJ/dnu = beta - 1 < 0, and J -> +inf as gamma -> c3/2, as
-  gamma -> inf and as nu -> inf.  The default solve is a damped Newton
+  gamma -> inf and as nu -> inf.  The solve is a damped Newton
   method in (delta, nu), delta = gamma - c3/2, on the closed-form
   gradient and Hessian that ``i_uric_inner(..., derivatives=True)``
   returns from the same two erfcx calls as one value of J.  It starts at
@@ -25,9 +25,10 @@ Two levels:
   and the lowest J found is kept.  A caller that knows a better start
   passes it as ``start``; Newton runs from it first, and the two analytic
   starts follow in the same way if that run ends non-converged with
-  budget left.
-  multistart_grid >= 2 instead runs derivative-free Nelder-Mead simplexes
-  in (u, v) = (log delta, log nu) from an N x N log grid of starts.
+  budget left.  multistart_grid = N >= 2 runs Newton from every start
+  instead of stopping at the first converged run: the two analytic
+  starts, then each point of an N x N log grid in (delta, nu), and it
+  ignores ``start``.
 
 * outer: one bracketed root search over t = log c3 on [log(lo/4),
   log(4 hi)], where (lo, hi) is the configured bracket, on the slope of
@@ -37,9 +38,7 @@ Two levels:
   Perturbation Analysis of Optimization Problems, ch. 4)
   dV/dc3 = (K_c + dI_sph/dc3)/sqrt(alpha), where K_c is the slope of K at
   the inner optimum that Newton's last evaluation already returns
-  (``OptimReport.slope``).  A simplex solve has no gradient; the search
-  spends one derivative evaluation at its best point instead, counted in
-  the result's evaluations.  dV/dc3 has the sign and the roots of
+  (``OptimReport.slope``).  dV/dc3 has the sign and the roots of
   dV/dt = c3 dV/dc3, and it is nearer linear in t at small c3, where the
   upper optima lie, so the search interpolates it rather than dV/dt.
   From t = log(lo/4) + 0.382 (log(4 hi) - log(lo/4)) the search takes a
@@ -116,27 +115,24 @@ _MIN_STEP = 1e-10
 class OptimizerConfig:
     """Search tolerances and budgets.
 
-    inner_tol: the default Newton inner solve has converged once the
+    inner_tol: a Newton run of the inner solve has converged once the
         Newton decrement satisfies lambda^2/2 <= inner_tol, a second-order
         bound on J - min J, and then takes that last Newton step as well.
-        With multistart_grid >= 2 each simplex stops once
-        its three values lie within inner_tol of each other, which bounds
-        their spread, not the distance to min J.
     outer_tol: width in log c3, so a relative width in c3, of the bracket
         around the root of the objective's slope at which the outer search
         stops.
-    multistart_grid: 1 (the default) runs the Newton solve, from the
-        outer search's predicted start or the analytic c3 -> 0 optimum;
-        N >= 2 runs N**2 Nelder-Mead simplexes from an N x N log grid
-        instead.
+    multistart_grid: 1 (the default) runs Newton from the outer search's
+        predicted start, then the analytic optima, until a run converges;
+        N >= 2 runs it from the analytic optima and then every point of an
+        N x N log grid in (gamma - c3/2, nu), ignores the predicted start,
+        and keeps the lowest J.
     c3_bracket: (lo, hi) for c3; the outer search runs on the bracket
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
         where the objective's slope still points outward.
-    max_evals: cap on the evaluations of J per inner solve.  A Newton
-        solve counts every evaluation, rejected line-search trials
-        included, and stops non-converged at the cap.  The simplexes
-        split it evenly with at least 3 per start (the initial simplex),
-        so they spend at most max(max_evals, 3 * multistart_grid**2).
+    max_evals: cap on the evaluations of J per inner solve, rejected
+        line-search trials included.  Each start runs with the budget the
+        earlier ones left, and a run that reaches the cap stops there,
+        non-converged.
     """
 
     inner_tol: float = 1e-10
@@ -149,8 +145,8 @@ class OptimizerConfig:
         if not (self.inner_tol > 0.0 and self.outer_tol > 0.0):
             raise ValueError(f"tolerances must be positive, got {self}")
         lo, hi = self.c3_bracket
-        if not 0.0 < lo < hi:
-            raise ValueError(f"c3 bracket must satisfy 0 < lo < hi, got {self.c3_bracket}")
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError(f"c3 bracket must satisfy 0 < lo < hi < inf, got {self.c3_bracket}")
         if self.multistart_grid < 1 or self.max_evals < 1:
             raise ValueError(f"grid count and budget must be positive, got {self}")
 
@@ -164,8 +160,7 @@ class OptimReport:
 
     ``slope`` is K_c = dK/dc3 at the best point, K = J - c3/2 at fixed
     (gamma - c3/2, nu), from the evaluation that found it; at a converged
-    optimum it is the slope of min K in c3.  It is None where the solve
-    has no gradient (multistart_grid >= 2).
+    optimum it is the slope of min K in c3.
     """
 
     best_params: LiftedParams
@@ -173,9 +168,11 @@ class OptimReport:
     evaluations: int
     converged: bool
     restarts_used: int
-    slope: float | None
+    slope: float
 
 
+# No solve calls this; it stays while perfbench/tracer.py hooks it and
+# tests/test_perfbench_smoke.py requires every hook to be installed.
 def _nelder_mead(f, x0, step, tol, max_evals):
     """Deterministic 2-D Nelder-Mead; returns (x, fx, evals, converged).
 
@@ -346,73 +343,34 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     where J_nu_nu ~ nu^(-1/2) hides J_nu ~ beta - 1) the test can pass
     far above min J.
 
-    With multistart_grid >= 2 it runs Nelder-Mead from a fixed log grid
-    instead and ignores ``start``.  Deterministic for identical inputs;
-    ``restarts_used`` counts the starts run.
+    With multistart_grid = N >= 2 it ignores ``start``, runs every start
+    that fits the budget, the two analytic ones and then each feasible
+    point of the N x N log grid in (delta, nu), and keeps the lowest J.
+    Deterministic for identical inputs; ``restarts_used`` counts the
+    starts run.
     """
     cfg = config or DEFAULT_CONFIG
     if not c3 > 0.0:
         raise ValueError(f"minimize_inner requires c3 > 0, got {c3!r}")
 
-    half_c3 = 0.5 * c3
-    if cfg.multistart_grid == 1:
-        best = None
-        evals = starts = 0
-        for seed in _newton_starts(c3, beta, start):
-            run = _newton_inner(c3, beta, *seed, cfg.inner_tol, cfg.max_evals - evals)
-            evals, starts = evals + run[3], starts + 1
-            if best is None or run[2] < best[2]:
-                best = run
-            if run[4] or evals >= cfg.max_evals:
-                break
-        gamma, nu, value, _evals, converged, slope = best
-        return OptimReport(
-            best_params=LiftedParams(c3=c3, gamma=gamma, nu=nu),
-            best_value=value,
-            evaluations=evals,
-            converged=converged,
-            restarts_used=starts,
-            slope=slope,
-        )
-
-    def objective(x):
-        u, v = x
-        if u > 700.0 or v > 700.0:
-            return math.inf
-        gamma = half_c3 + math.exp(u)
-        if not gamma > half_c3:  # e^u below the rounding floor of gamma
-            return math.inf
-        return i_uric_inner(c3, beta, gamma, math.exp(v))
-
-    seeds = [
-        (math.log(g), math.log(v)) for g in _seed_grid(cfg.multistart_grid)
-        for v in _seed_grid(cfg.multistart_grid)
-    ]
-    per_start = max(cfg.max_evals // len(seeds), 3)
-
-    best_x = None
-    best_f = math.inf
-    best_run_converged = False
-    total_evals = 0
-    starts_run = 0
-    for seed in seeds:
-        x, fx, evals, converged = _nelder_mead(
-            objective, seed, step=0.5, tol=cfg.inner_tol, max_evals=per_start
-        )
-        total_evals += evals
-        starts_run += 1
-        if fx < best_f:
-            best_x, best_f, best_run_converged = x, fx, converged
-
-    u, v = best_x
-    params = LiftedParams(c3=c3, gamma=half_c3 + math.exp(u), nu=math.exp(v))
+    grid = cfg.multistart_grid
+    best = None
+    evals = starts = 0
+    for seed in _newton_starts(c3, beta, start if grid == 1 else None, grid):
+        run = _newton_inner(c3, beta, *seed, cfg.inner_tol, cfg.max_evals - evals)
+        evals, starts = evals + run[3], starts + 1
+        if best is None or run[2] < best[2]:
+            best = run
+        if (run[4] and grid == 1) or evals >= cfg.max_evals:
+            break
+    gamma, nu, value, _evals, converged, slope = best
     return OptimReport(
-        best_params=params,
-        best_value=best_f,
-        evaluations=total_evals,
-        converged=best_run_converged,
-        restarts_used=starts_run,
-        slope=None,
+        best_params=LiftedParams(c3=c3, gamma=gamma, nu=nu),
+        best_value=value,
+        evaluations=evals,
+        converged=converged,
+        restarts_used=starts,
+        slope=slope,
     )
 
 
@@ -505,12 +463,14 @@ def _asymptotic_seed(c3: float, beta: float) -> tuple[float, float]:
     return beta / (2.0 * c3), nu
 
 
-def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None):
+def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None,
+                   grid: int = 1):
     """The (delta, nu) starts of the Newton inner solve, in order: a given
-    start, the c3 -> 0 optimum, then the c3 -> inf optimum.  The given and
-    the c3 -> inf start are skipped unless nu > 0, gamma = c3/2 + delta
-    does not round to c3/2 and 2 nu gamma is finite.  Lazy, so a start
-    that is not needed costs nothing."""
+    start, the c3 -> 0 optimum, the c3 -> inf optimum, then for grid >= 2
+    the points of the grid x grid log grid, by delta and then nu.  All but
+    the c3 -> 0 start are skipped unless nu > 0, gamma = c3/2 + delta does
+    not round to c3/2 and 2 nu gamma is finite.  Lazy, so a start that is
+    not needed costs nothing."""
     half_c3 = 0.5 * c3
 
     def feasible(seed):
@@ -524,6 +484,9 @@ def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None):
     seed = _asymptotic_seed(c3, beta)
     if feasible(seed):
         yield seed
+    if grid >= 2:
+        points = _seed_grid(grid)
+        yield from filter(feasible, ((delta, nu) for delta in points for nu in points))
 
 
 def _predict_start(optima: list[tuple[float, float, float]],
@@ -561,7 +524,6 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     solves: dict[float, OptimReport] = {}
     # (log c3, log delta, log nu) of every converged inner solve, by log c3.
     optima: list[tuple[float, float, float]] = []
-    slope_evals = 0
     lo, hi = cfg.c3_bracket
     t_lo, t_hi = math.log(lo / 4.0), math.log(4.0 * hi)
     ends = {t_lo: lo / 4.0, t_hi: 4.0 * hi}
@@ -579,19 +541,13 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     def signed_objective(t: float) -> tuple[float, float]:
         """(V, dV/dc3) at c3 = e^t, V the upper objective or the negated
         lower one; both are (min K + I_sph)/sqrt(alpha)."""
-        nonlocal slope_evals
         c3 = ends[t] if t in ends else math.exp(t)
         report = solve(c3)
-        slope = report.slope
-        if slope is None:  # a simplex solve: one derivative evaluation at its best point
-            p = report.best_params
-            slope = i_uric_inner(c3, beta, p.gamma, p.nu, derivatives=True)[3]
-            slope_evals += 1
         if upper:
             value = upper_value_from_inner(c3, shape, report.best_value)
         else:
             value = -lower_value_from_inner(c3, shape, report.best_value)
-        return value, (slope + i_sph_slope(c3, alpha, branch)) / math.sqrt(alpha)
+        return value, (report.slope + i_sph_slope(c3, alpha, branch)) / math.sqrt(alpha)
 
     (best_val, best_t), edge = _slope_search(signed_objective, t_lo, t_hi, cfg.outer_tol)
     best_c3 = ends[best_t] if best_t in ends else math.exp(best_t)
@@ -616,7 +572,7 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
         value=value,
         params=params,
         converged=converged,
-        evaluations=sum(report.evaluations for report in solves.values()) + slope_evals,
+        evaluations=sum(report.evaluations for report in solves.values()),
     )
 
 

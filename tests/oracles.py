@@ -453,10 +453,11 @@ def optimize_outer_scan(shape, cfg, upper: bool) -> tuple[float, float, bool]:
 
 # --- the replaced inner solve -------------------------------------------------
 #
-# The default inner solve was once one Nelder-Mead simplex in
+# The inner solve was once one Nelder-Mead simplex in
 # (log(gamma - c3/2), log nu) from the analytic c3 -> 0 optimum.  Damped
 # Newton replaced it; the tests require Newton's minimum to be no higher
-# than this simplex's by more than inner_tol.
+# than this simplex's by more than inner_tol.  It runs here on the list
+# simplex above, which rounds exactly like the one the package used.
 
 
 def single_simplex_inner(c3: float, beta: float, cfg) -> tuple[float, int]:
@@ -474,6 +475,6 @@ def single_simplex_inner(c3: float, beta: float, cfg) -> tuple[float, int]:
 
     g0, threshold_sq = optimizer._limit_seed(beta)
     seed = (math.log(g0), math.log(threshold_sq / (4.0 * (half_c3 + g0))))
-    _x, fx, evals, _converged = optimizer._nelder_mead(
+    _x, fx, evals, _converged = nelder_mead_lists(
         objective, seed, step=0.5, tol=cfg.inner_tol, max_evals=cfg.max_evals)
     return fx, evals

@@ -246,6 +246,18 @@ class TestInvalidConfig:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--kind", "lower-lifted", "--alpha", "0.5", "--rho", "0.2"],
+        COMMANDS["sweep"],
+    ], ids=["bound", "sweep"])
+    def test_infinite_c3_max_exits_2(self, argv, capsys):
+        """An infinite bracket end is rejected up front, not left to a
+        solve at c3 = inf."""
+        code, out, err = run_cli(argv + ["--c3-max", "inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestCallContract:
     """The subcommands reach every solver through the cli module's globals,
