@@ -106,6 +106,19 @@ class TestMinimizeInner:
         assert 1 < capped.restarts_used < 18
         assert capped.evaluations == cfg.max_evals
 
+    @pytest.mark.parametrize("max_evals", [7, 40])
+    def test_budget_floor_of_three_per_start(self, max_evals):
+        """Below 3 evaluations per start the budget still binds: multistart
+        runs only the starts it reaches instead of overspending on every
+        one; one start keeps within it too."""
+        cfg = OptimizerConfig(multistart_grid=4, max_evals=max_evals)
+        starts = len(list(optimizer._newton_starts(0.5, 0.1, None, cfg.multistart_grid)))
+        assert cfg.max_evals < 3 * starts
+        report = minimize_inner(0.5, 0.1, cfg)
+        assert report.evaluations <= cfg.max_evals
+        assert 1 <= report.restarts_used < starts
+        assert minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals)).evaluations <= max_evals
+
     @pytest.mark.parametrize("grid", [2, 3, 4])
     def test_multistart_keeps_within_budget(self, grid):
         for max_evals in range(1, 41):
