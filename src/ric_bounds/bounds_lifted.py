@@ -2,14 +2,15 @@
 
 The closed-form bounds of :mod:`ric_bounds.bounds_simple` are the
 c3 -> 0 limit of a sharper family indexed by a comparison parameter
-c3 > 0 and two dual variables gamma > c3/2, nu >= 0:
+c3 > 0 and two dual variables gamma = c3/2 + delta, delta > 0, and nu >= 0:
 
-    upper(c3) = (1/sqrt(alpha)) * ( -c3/2 + min_{gamma,nu} J + I_sph+ )
-    lower(c3) = (1/sqrt(alpha)) * (  c3/2 - min_{gamma,nu} J - I_sph- )
+    upper(c3) =  (min_{delta,nu} K + I_sph+)/sqrt(alpha)
+    lower(c3) = -(min_{delta,nu} K + I_sph-)/sqrt(alpha)
 
-with the inner objective
+with K the paper's inner objective J less the c3/2 that its bounds
+subtract again, so that delta ~ beta/(2 c3) is not lost next to c3/2:
 
-    J(c3, beta, gamma, nu) = nu*beta + gamma + log(M)/c3,
+    K = J - c3/2 = nu*beta + delta + log(M)/c3,
     M = E exp(c3 * max(h^2/(4 gamma) - nu, 0)),  h ~ N(0,1),
 
 and the spherical term I_sph = ghat - (alpha/(2 c3)) log(1 - c3/(2 ghat))
@@ -21,9 +22,9 @@ is minimized and the lower bound maximized over c3 by
 The moment M has the closed form
 
     M = e^{-c3 nu}/sqrt(1-2p) * erfc(a/sqrt(2)) + erf(sqrt(2 nu gamma)),
-    p = c3/(4 gamma),  a = 2 sqrt(nu gamma (1-2p)),
+    p = c3/(4 gamma),  1 - 2p = delta/gamma,  a = 2 sqrt(nu gamma (1-2p)),
 
-finite exactly when p < 1/2.  It is evaluated here on the
+finite exactly when delta > 0.  It is evaluated here on the
 cancellation-free path
 
     M - 1 = e^{-2 nu gamma} * ( erfcx(a/sqrt(2))/sqrt(1-2p)
@@ -32,9 +33,8 @@ cancellation-free path
 which follows from r - a^2/2 = -2 nu gamma and stays finite for
 parameters where e^{-c3 nu} and erfc(a/sqrt(2)) individually underflow.
 log(M) is then log1p(M - 1), accurate even when M is within rounding of 1.
-The difference in parentheses cancels as p -> 0; :func:`i_uric_inner`
-and :func:`big_i_uric` sum it as a series there instead
-(:func:`_scaled_excess`).
+The difference in parentheses cancels as p -> 0; it is summed as a series
+there instead (:func:`_scaled_excess`).
 """
 
 from __future__ import annotations
@@ -61,21 +61,25 @@ class SphBranch(enum.Enum):
 
 @dataclass(frozen=True)
 class LiftedParams:
-    """Comparison parameter c3 >= 0 and dual pair (gamma, nu).
-
-    Feasibility requires gamma > c3/2, i.e. p = c3/(4 gamma) < 1/2, which
-    is exactly the condition under which the exponential moment is finite.
-    c3 == 0 marks the closed-form limit point.
+    """Comparison parameter c3 >= 0, dual pair (gamma, nu) and
+    delta = gamma - c3/2, which must be positive for the moment to be
+    finite.  The solvers pass delta exactly: past c3 ~ 1e7 the optimal
+    delta ~ beta/(2 c3) is below ulp(c3/2), so gamma no longer carries
+    it.  Given only gamma, delta is gamma - c3/2.  c3 == 0 marks the
+    closed-form limit point.
     """
 
     c3: float
     gamma: float
     nu: float
+    delta: float | None = None
 
     def __post_init__(self) -> None:
+        if self.delta is None:
+            object.__setattr__(self, "delta", self.gamma - 0.5 * self.c3)
         if self.c3 < 0.0 or self.nu < 0.0:
             raise ValueError(f"c3 and nu must be nonnegative, got {self}")
-        if not self.gamma > 0.5 * self.c3:
+        if not self.delta > 0.0:
             raise ValueError(f"gamma must exceed c3/2 (moment finiteness), got {self}")
 
 
@@ -101,6 +105,16 @@ def gamma_hat(c3: float, alpha: float, branch: SphBranch) -> float:
     return -2.0 * alpha / (2.0 * c3 + root)
 
 
+def _log_sph_argument(c3: float, alpha: float, gh: float) -> float:
+    """log(1 - x), x = c3/(2 ghat).  Where x > 1/2, which happens only on
+    the PLUS branch, 1 - x = alpha/(4 ghat^2) by 2 ghat (2 ghat - c3) = alpha
+    gives it without cancellation; 1 - x itself rounds to 0 from c3 ~ 7e8."""
+    ratio = c3 / (2.0 * gh)
+    if ratio > 0.5:
+        return math.log(alpha) - 2.0 * math.log(2.0 * gh)
+    return math.log1p(-ratio)
+
+
 def i_sph(c3: float, alpha: float, branch: SphBranch) -> float:
     """Spherical moment term ghat - (alpha/(2 c3)) log(1 - c3/(2 ghat)).
 
@@ -109,22 +123,21 @@ def i_sph(c3: float, alpha: float, branch: SphBranch) -> float:
     as c3 -> 0.
     """
     gh = gamma_hat(c3, alpha, branch)
-    ratio = c3 / (2.0 * gh)
-    if ratio >= 1.0:  # impossible for valid inputs on either branch
-        raise ArithmeticError(f"log argument not positive at c3={c3}, alpha={alpha}")
-    return gh - (alpha / (2.0 * c3)) * math.log1p(-ratio)
+    return gh - (alpha / (2.0 * c3)) * _log_sph_argument(c3, alpha, gh)
 
 
 def i_sph_slope(c3: float, alpha: float, branch: SphBranch) -> float:
-    """Slope in c3 of :func:`i_sph`, (alpha/(2 c3^2)) log(1 - c3/(2 ghat)) + ghat/c3.
+    """Slope in c3 of :func:`i_sph`, ((alpha/(2 c3)) log(1 - c3/(2 ghat)) + ghat)/c3.
 
     ghat is stationary, so only the explicit c3 terms count (the envelope
-    theorem).  The second term is alpha/(2 c3 (2 ghat - c3)) rewritten
+    theorem).  The term ghat/c3 is alpha/(2 c3 (2 ghat - c3)) rewritten
     with 2 ghat (2 ghat - c3) = alpha, which does not cancel on the PLUS
-    branch as c3 grows.
+    branch as c3 grows.  As c3 -> 0 the slope tends to 1/4 as a difference
+    of terms of size ghat/c3, so its rounding error grows like eps/c3
+    (see ``optimizer._C3_FLOOR``).
     """
     gh = gamma_hat(c3, alpha, branch)
-    return (alpha / (2.0 * c3 * c3)) * math.log1p(-c3 / (2.0 * gh)) + gh / c3
+    return ((alpha / (2.0 * c3)) * _log_sph_argument(c3, alpha, gh) + gh) / c3
 
 
 def _scaled_excess(two_p: float, root: float, s: float, z2: float,
@@ -134,7 +147,7 @@ def _scaled_excess(two_p: float, root: float, s: float, z2: float,
 
     With eps = 1 - root = 2p/(1 + root), the difference is
     (erfcx(z1) - e2 + eps e2)/root.  As p -> 0 it cancels, and the rounding
-    errors of e1 and e2 reach J divided by c3.  There it is summed as the Taylor
+    errors of e1 and e2 reach K divided by c3.  There it is summed as the Taylor
     series of erfcx about z2 in steps of -h, h = z2 - z1 = z2 eps, whose
     terms a_k = erfcx^(k)(z2) (-h)^k/k! follow from
     erfcx' = 2 z erfcx - 2/sqrt(pi) as a_{k+1} = -2h/(k+1) (z2 a_k - h a_{k-1}).
@@ -156,53 +169,88 @@ def _scaled_excess(two_p: float, root: float, s: float, z2: float,
     return acc / root
 
 
-def _moment(c3: float, gamma: float, nu: float):
+def _moment(c3: float, delta: float, nu: float):
     """M - 1 on the erfcx path, with the pieces its derivatives reuse:
-    (M - 1, e^{-s}, erfcx(z1), erfcx(z2), z1, z2, 1 - 2p), s = 2 nu gamma.
-    M - 1 comes from :func:`_scaled_excess`, so it does not cancel at
-    small p."""
-    two_p = c3 / (2.0 * gamma)
-    omp = 1.0 - two_p
-    if not omp > 0.0:
+    (M - 1, e^{-s}, erfcx(z1), erfcx(z2), z1, z2, sqrt(1-2p), 2 gamma),
+    s = 2 nu gamma.  1 - 2p = 2 delta/(2 gamma) keeps full relative
+    accuracy however small delta is next to c3/2."""
+    if not delta > 0.0:
         raise ValueError(
-            f"moment diverges: requires c3/(4 gamma) < 1/2, got c3={c3}, gamma={gamma}"
+            f"moment diverges: requires gamma - c3/2 > 0, got c3={c3}, delta={delta}"
         )
-    s = 2.0 * nu * gamma
+    two_gamma = c3 + 2.0 * delta
+    s = nu * two_gamma
     z2 = math.sqrt(s)
-    root = math.sqrt(omp)
+    root = math.sqrt(2.0 * delta / two_gamma)
     z1 = z2 * root
     e1 = erfcx(z1)
     e2 = erfcx(z2)
     w = math.exp(-s)
-    return w * _scaled_excess(two_p, root, s, z2, e1, e2), w, e1, e2, z1, z2, omp
+    excess = _scaled_excess(c3 / two_gamma, root, s, z2, e1, e2)
+    return w * excess, w, e1, e2, z1, z2, root, two_gamma
 
 
 def big_i_uric(params: LiftedParams) -> float:
-    """Exponential moment E exp(c3 * max(h^2/(4 gamma) - nu, 0)), h ~ N(0,1).
+    """Exponential moment E exp(c3 * max(h^2/(4 gamma) - nu, 0)), h ~ N(0,1),
+    at ``params.delta``.
 
     Always >= 1; equals 1/sqrt(1-2p) at nu = 0 and tends to 1 as c3 -> 0.
-    Raises ValueError when p = c3/(4 gamma) >= 1/2 (the moment diverges;
-    LiftedParams cannot represent that region, but c3 == 0 limit params
-    are also rejected here since the moment path divides by c3 downstream).
+    c3 == 0 limit params are rejected, since the moment path divides by
+    c3 downstream.
     """
     if not params.c3 > 0.0:
         raise ValueError(f"big_i_uric requires c3 > 0, got {params.c3!r}")
-    return 1.0 + _moment(params.c3, params.gamma, params.nu)[0]
+    return 1.0 + _moment(params.c3, params.delta, params.nu)[0]
 
 
-def i_uric_inner(c3: float, beta: float, gamma: float, nu: float, *,
-                 derivatives: bool = False):
-    """Inner objective J = nu*beta + gamma + log(M)/c3 for feasible (gamma, nu).
+def _inner_k(c3: float, beta: float, delta: float, nu: float, derivatives: bool):
+    """K, or K with its derivatives, at delta; see :func:`i_uric_inner`."""
+    if not c3 > 0.0:
+        raise ValueError(f"i_uric_inner requires c3 > 0, got {c3!r}")
+    if nu < 0.0:
+        raise ValueError(f"i_uric_inner requires nu >= 0, got {nu!r}")
+    _check_beta(beta)
+    if derivatives and not nu > 0.0:  # K_nn grows like nu^{-1/2} as nu -> 0
+        raise ValueError(f"i_uric_inner derivatives require nu > 0, got {nu!r}")
+    d, w, e1, e2, z1, z2, root, two_gamma = _moment(c3, delta, nu)
+    log_m = math.log1p(d)
+    value = nu * beta + delta + log_m / c3
+    if not derivatives:
+        return value
+
+    m = 1.0 + d
+    t = w * e1 / (root * m)  # T/M
+    rest = (1.0 - w * e2) / m  # 1 - T/M = P(|h| <= b)/M
+    scale = 1.0 / (2.0 * delta * two_gamma)  # sigma^2/(4 gamma^2)
+    u = t * scale * (1.0 + _TWO_OVER_SQRT_PI * z1 / e1)  # S/(4 gamma^2 M)
+    # Q/(16 gamma^4 M)
+    q = t * scale * scale * (3.0 + _TWO_OVER_SQRT_PI * z1 * (2.0 * z1 * z1 + 3.0) / e1)
+    fb = w * z2 / (_SQRT_PI * m)  # phi(b) b/M
+    grad = (1.0 - u, beta - t)
+    hess = (
+        c3 * (q - u * u) + 4.0 * u / two_gamma + 4.0 * fb * nu / (two_gamma * two_gamma),
+        c3 * u * rest + 2.0 * fb / two_gamma,
+        c3 * t * rest + fb / nu,
+    )
+    slope = (delta * u - nu * t - log_m / c3) / c3
+    return value, grad, hess, slope
+
+
+def i_uric_inner(c3: float, beta: float, gamma: float | None, nu: float, *,
+                 derivatives: bool = False, delta: float | None = None):
+    """Inner objective J = nu*beta + gamma + log(M)/c3 for feasible (gamma, nu);
+    given ``delta`` = gamma - c3/2 in place of gamma (pass gamma as None),
+    K = J - c3/2 = nu*beta + delta + log(M)/c3, the form the solvers use.
 
     Identical for the upper and lower families (the sign flip of the
-    linear form over a symmetric set leaves the moment unchanged).  Both
-    forms take M - 1 from :func:`_scaled_excess`, so they return the same
-    J, and it does not cancel at small p.
+    linear form over a symmetric set leaves the moment unchanged).  J is
+    K at delta = gamma - c3/2, plus c3/2.
 
-    With ``derivatives=True`` returns ``(J, (J_gamma, J_nu), (J_gamma_gamma,
-    J_gamma_nu, J_nu_nu), K_c)`` from the same two erfcx calls.  With
-    b = 2 sqrt(gamma nu) the clipping threshold, the derivatives come from
-    the tilted tail moments
+    With ``derivatives=True`` returns ``(K, (K_delta, K_nu), (K_dd, K_dn,
+    K_nn), K_c)``, or J first in the gamma form, from the same two erfcx
+    calls; K's derivatives in (delta, nu) are J's in (gamma, nu).  With
+    b = 2 sqrt(gamma nu) the clipping threshold, they come from the tilted
+    tail moments
 
         T = E[e^{c3 (h^2/(4 gamma) - nu)}; |h| > b] = e^{-s} sigma erfcx(z1),
         S = E[h^2 ...; |h| > b] = e^{-s} sigma^3 (erfcx(z1) + 2 z1/sqrt(pi)),
@@ -210,65 +258,37 @@ def i_uric_inner(c3: float, beta: float, gamma: float, nu: float, *,
                                                   + (2/sqrt(pi)) (2 z1^3 + 3 z1)),
 
     sigma = (1-2p)^{-1/2}, s = 2 nu gamma, z1 = sqrt(s (1-2p)), as
-    J_nu = beta - T/M and J_gamma = 1 - S/(4 gamma^2 M).  The Hessian adds
+    K_nu = beta - T/M and K_delta = 1 - S/(4 gamma^2 M).  The Hessian adds
     the boundary terms of T and S at |h| = b, where the density is
     phi(b) = e^{-s}/sqrt(2 pi).
 
-    K_c is the slope in c3 of K = J - c3/2 = nu beta + delta + log(M)/c3
-    at fixed delta = gamma - c3/2 and nu,
+    K_c is the slope in c3 of K at fixed delta and nu,
 
-        K_c = (delta u - nu t)/c3 - log(M)/c3^2,  u = 1 - J_gamma,  t = beta - J_nu,
+        K_c = (delta u - nu t - log(M)/c3)/c3,  u = 1 - K_delta,  t = beta - K_nu,
 
     since d log(M)/dc3 = gamma u - nu t.  At the inner optimum it is the
-    slope of min K in c3 (the envelope theorem), and no term of size
-    c3/2 cancels in it.
+    slope of min K in c3 (the envelope theorem).
     """
-    if not c3 > 0.0:
-        raise ValueError(f"i_uric_inner requires c3 > 0, got {c3!r}")
-    if nu < 0.0:
-        raise ValueError(f"i_uric_inner requires nu >= 0, got {nu!r}")
-    _check_beta(beta)
-    if derivatives and not nu > 0.0:  # J_nu_nu grows like nu^{-1/2} as nu -> 0
-        raise ValueError(f"i_uric_inner derivatives require nu > 0, got {nu!r}")
-    d, w, e1, e2, z1, z2, omp = _moment(c3, gamma, nu)
-    log_m = math.log1p(d)
-    value = nu * beta + gamma + log_m / c3
+    if delta is not None:
+        return _inner_k(c3, beta, delta, nu, derivatives)
+    result = _inner_k(c3, beta, gamma - 0.5 * c3, nu, derivatives)
     if not derivatives:
-        return value
+        return result + 0.5 * c3
+    value, grad, hess, slope = result
+    return value + 0.5 * c3, grad, hess, slope
 
-    m = 1.0 + d
-    t = w * e1 / (math.sqrt(omp) * m)  # T/M
-    rest = (1.0 - w * e2) / m  # 1 - T/M = P(|h| <= b)/M
-    # sigma^2 = 1/omp <= 2^53, since omp is 1 - c3/(2 gamma) rounded and
-    # positive, so the sigma^3 and sigma^5 factors, applied to T/M <= 1
-    # one sigma^2 at a time, stay finite.
-    sig2 = 1.0 / omp
-    g2 = gamma * gamma
-    u = t * sig2 * (1.0 + _TWO_OVER_SQRT_PI * z1 / e1) / (4.0 * g2)  # S/(4 gamma^2 M)
-    q = (t * sig2 * sig2 * (3.0 + _TWO_OVER_SQRT_PI * z1 * (2.0 * z1 * z1 + 3.0) / e1)
-         / (16.0 * g2 * g2))  # Q/(16 gamma^4 M)
-    fb = w * z2 / (_SQRT_PI * m)  # phi(b) b/M
-    grad = (1.0 - u, beta - t)
-    hess = (
-        c3 * (q - u * u) + 2.0 * u / gamma + fb * nu / g2,
-        c3 * u * rest + fb / gamma,
-        c3 * t * rest + fb / nu,
-    )
-    # gamma - c3/2 is exact where it is below c3/2 (Sterbenz).
-    slope = ((gamma - 0.5 * c3) * u - nu * t) / c3 - log_m / (c3 * c3)
-    return value, grad, hess, slope
+
+def signed_value(c3: float, alpha: float, k_value: float, branch: SphBranch) -> float:
+    """(K + I_sph)/sqrt(alpha) from K = min J - c3/2: the upper objective on
+    the PLUS branch, and minus the lower objective on the MINUS branch."""
+    return (k_value + i_sph(c3, alpha, branch)) / math.sqrt(alpha)
 
 
 def upper_value_from_inner(c3: float, shape: ProblemShape, inner_value: float) -> float:
-    """Assemble the upper objective from an already-minimized inner value."""
-    return (-0.5 * c3 + inner_value + i_sph(c3, shape.alpha, SphBranch.PLUS)) / math.sqrt(
-        shape.alpha
-    )
+    """Assemble the upper objective from an already-minimized inner value J."""
+    return signed_value(c3, shape.alpha, inner_value - 0.5 * c3, SphBranch.PLUS)
 
 
 def lower_value_from_inner(c3: float, shape: ProblemShape, inner_value: float) -> float:
-    """Assemble the lower objective from an already-minimized inner value."""
-    return (0.5 * c3 - inner_value - i_sph(c3, shape.alpha, SphBranch.MINUS)) / math.sqrt(
-        shape.alpha
-    )
-
+    """Assemble the lower objective from an already-minimized inner value J."""
+    return -signed_value(c3, shape.alpha, inner_value - 0.5 * c3, SphBranch.MINUS)

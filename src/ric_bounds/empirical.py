@@ -104,21 +104,6 @@ class GaussianMatrix:
 
 
 @dataclass(frozen=True)
-class SupportSet:
-    """Strictly increasing 0-based column indices of one sparse support."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.indices:
-            raise ValueError("support must be nonempty")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError(f"indices must be strictly increasing, got {self.indices}")
-        if self.indices[0] < 0:
-            raise ValueError(f"indices must be nonnegative, got {self.indices}")
-
-
-@dataclass(frozen=True)
 class EmpiricalEstimate:
     """Across-trial statistics of one normalized extreme.
 
@@ -156,20 +141,6 @@ def sample_matrix(m: int, n: int, seed: int, trial: int = 0) -> GaussianMatrix:
     if abs(var - 1.0) > 4.0 * math.sqrt(2.0 / count):
         raise ArithmeticError(f"generator sanity check failed: variance {var} at m={m}, n={n}")
     return GaussianMatrix(m=m, n=n, seed=seed, trial=trial, entries=entries)
-
-
-def extremal_singular(matrix: GaussianMatrix, support: SupportSet) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of the column submatrix on one support.
-
-    Computed from the eigenvalues of the k x k Gram form, which is
-    symmetric PSD; tiny negative eigenvalues from rounding are clamped.
-    """
-    idx = np.asarray(support.indices, dtype=np.intp)
-    if idx[-1] >= matrix.n:
-        raise ValueError(f"support {support.indices} out of range for n={matrix.n}")
-    sub = matrix.entries[:, idx]
-    eigs = np.linalg.eigvalsh(sub.T @ sub)
-    return math.sqrt(max(float(eigs[0]), 0.0)), math.sqrt(max(float(eigs[-1]), 0.0))
 
 
 def _first_distinct(rows: np.ndarray, key: np.ndarray) -> np.ndarray:

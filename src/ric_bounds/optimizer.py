@@ -2,39 +2,27 @@
 
 Two levels:
 
-* inner: minimize the 2-D objective J(c3, beta, gamma, nu) over
-  gamma > c3/2, nu >= 0.  J is jointly convex there (a log-partition of
-  functions convex in (gamma, nu)), and its minimum is interior: at
-  nu = 0, dJ/dnu = beta - 1 < 0, and J -> +inf as gamma -> c3/2, as
-  gamma -> inf and as nu -> inf.  The solve is a damped Newton
-  method in (delta, nu), delta = gamma - c3/2, on the closed-form
-  gradient and Hessian that ``i_uric_inner(..., derivatives=True)``
-  returns from the same two erfcx calls as one value of J.  It starts at
-  the analytic c3 -> 0 optimum, delta = g0 = tail_term(beta)/2 and
-  nu = optimal_nu(beta)^2 / (4 (c3/2 + g0)), so the threshold
-  2 sqrt(gamma nu) is the c3 -> 0 tail quantile.  Each step stops short
-  of delta = 0 and nu = 0 (fraction to the boundary) and is halved until
-  J falls enough (Armijo).  The solve has converged, the meaning of
-  ``converged``, once the Newton decrement lambda^2 = g' H^{-1} g, which
-  estimates 2 (J - min J), satisfies lambda^2/2 <= inner_tol; it then
-  takes that last Newton step too, which leaves J within rounding of
-  min J.  Far out in c3 the c3 -> 0 start can stall where e^{-2 nu gamma}
-  underflows and J has no curvature; a solve that ends non-converged
-  with budget left is run once more from the c3 -> inf optimum,
-  delta = beta/(2 c3), nu = (ln c3 + ln((1-beta)/beta) - ln(beta)/2)/c3,
-  and the lowest J found is kept.  A caller that knows a better start
-  passes it as ``start``; Newton runs from it first, and the two analytic
-  starts follow in the same way if that run ends non-converged with
-  budget left.  multistart_grid = N >= 2 runs Newton from every start
-  instead of stopping at the first converged run: the two analytic
-  starts, then each point of an N x N log grid in (delta, nu), and it
-  ignores ``start``.
+* inner: minimize K = J - c3/2 = nu beta + delta + log(M)/c3 over
+  delta = gamma - c3/2 > 0 and nu >= 0 (:func:`minimize_inner`).  K is
+  the paper's J without the constant c3/2, which would swamp
+  delta ~ beta/(2 c3) at large c3.  It is jointly convex (a log-partition
+  of functions convex in (delta, nu)) with an interior minimum: at
+  nu = 0, dK/dnu = beta - 1 < 0, and K -> +inf as delta -> 0, as
+  delta -> inf and as nu -> inf.  Damped Newton (:func:`_newton_inner`)
+  runs on the closed-form gradient and Hessian that one delta-form call
+  of ``i_uric_inner`` returns from two erfcx calls.  It starts at the
+  analytic c3 -> 0 optimum and, if that run ends non-converged with
+  budget left, at the c3 -> inf optimum, which takes over far out in c3,
+  where e^{-2 nu gamma} underflows at the first start and K has no
+  curvature.  A caller's ``start`` runs first; multistart_grid = N >= 2
+  runs every start, an N x N log grid in (delta, nu) too, and keeps the
+  lowest K.
 
 * outer: one bracketed root search over t = log c3 on [log(lo/4),
   log(4 hi)], where (lo, hi) is the configured bracket, on the slope of
   the objective.  The upper bound is minimized over c3 and the lower
-  bound maximized; both signed objectives are V = (min K + I_sph)/sqrt(alpha)
-  with K = J - c3/2, and by the envelope theorem (Bonnans & Shapiro,
+  bound maximized; both signed objectives are V = (min K + I_sph)/sqrt(alpha),
+  and by the envelope theorem (Bonnans & Shapiro,
   Perturbation Analysis of Optimization Problems, ch. 4)
   dV/dc3 = (K_c + dI_sph/dc3)/sqrt(alpha), where K_c is the slope of K at
   the inner optimum that Newton's last evaluation already returns
@@ -59,12 +47,12 @@ Two levels:
   extrapolated from the two nearest on one side; with one converged
   optimum it is copied, and with none the solve starts cold.  Only the
   start moves: a converged solve from a predicted start ends within about
-  inner_tol of min J, as a cold one does.
+  inner_tol of min K, as a cold one does.
 
 Everything is deterministic: start points fixed by the inputs and the
 visit order of the outer search, no randomized restarts, and ties
 between equal-valued optima resolve to the smallest c3.  An
-inexact inner solve only raises J, which loosens both families, so every
+inexact inner solve only raises K, which loosens both families, so every
 reported value is a valid bound.
 """
 
@@ -81,8 +69,7 @@ from .bounds_lifted import (
     SphBranch,
     i_sph_slope,
     i_uric_inner,
-    lower_value_from_inner,
-    upper_value_from_inner,
+    signed_value,
 )
 from .bounds_simple import (
     KIND_LOWER_LIFTED,
@@ -99,7 +86,17 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = math.ulp(1.0)
 _LOG_MAX = math.log(sys.float_info.max)
 
-# Multistart seed range for gamma - c3/2 and nu (log-spaced).
+# Smallest lower end of the c3 bracket.  The outer search evaluates the
+# slope down to c3 = lo/4.  There K_c and dI_sph/dc3 each come from terms
+# of size about 1/c3 that cancel to limits of size about 1/4
+# (dI_sph/dc3 -> 1/4, K_c -> -0.46 .. -0.25 over the beta domain), so
+# each carries an absolute rounding error of up to about 2 eps/c3
+# (checked against mpmath down to this floor).  lo/4 >= 16 eps keeps it
+# under 1/8, half those limits, so the slope keeps its leading bit; below
+# that, the search follows rounding noise.
+_C3_FLOOR = 64.0 * _EPS
+
+# Multistart seed range for delta = gamma - c3/2 and nu (log-spaced).
 _SEED_LO = 1e-3
 _SEED_HI = 30.0
 
@@ -117,19 +114,21 @@ class OptimizerConfig:
 
     inner_tol: a Newton run of the inner solve has converged once the
         Newton decrement satisfies lambda^2/2 <= inner_tol, a second-order
-        bound on J - min J, and then takes that last Newton step as well.
+        bound on K - min K, and then takes that last Newton step as well.
     outer_tol: width in log c3, so a relative width in c3, of the bracket
         around the root of the objective's slope at which the outer search
         stops.
     multistart_grid: 1 (the default) runs Newton from the outer search's
         predicted start, then the analytic optima, until a run converges;
         N >= 2 runs it from the analytic optima and then every point of an
-        N x N log grid in (gamma - c3/2, nu), ignores the predicted start,
-        and keeps the lowest J.
+        N x N log grid in (delta, nu), ignores the predicted start, and
+        keeps the lowest K.
     c3_bracket: (lo, hi) for c3; the outer search runs on the bracket
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
-        where the objective's slope still points outward.
-    max_evals: cap on the evaluations of J per inner solve, rejected
+        where the objective's slope still points outward.  lo must be at
+        least 64 eps (about 1.4e-14), where the slope is still more than
+        rounding noise.
+    max_evals: cap on the evaluations of K per inner solve, rejected
         line-search trials included.  Each start runs with the budget the
         earlier ones left, and a run that reaches the cap stops there,
         non-converged.
@@ -145,8 +144,9 @@ class OptimizerConfig:
         if not (self.inner_tol > 0.0 and self.outer_tol > 0.0):
             raise ValueError(f"tolerances must be positive, got {self}")
         lo, hi = self.c3_bracket
-        if not 0.0 < lo < hi < math.inf:
-            raise ValueError(f"c3 bracket must satisfy 0 < lo < hi < inf, got {self.c3_bracket}")
+        if not _C3_FLOOR <= lo < hi < math.inf:
+            raise ValueError(f"c3 bracket must satisfy {_C3_FLOOR:.3g} <= lo < hi < inf, "
+                             f"got {self.c3_bracket}")
         if self.multistart_grid < 1 or self.max_evals < 1:
             raise ValueError(f"grid count and budget must be positive, got {self}")
 
@@ -158,9 +158,10 @@ DEFAULT_CONFIG = OptimizerConfig()
 class OptimReport:
     """Outcome of one inner solve: best point, bookkeeping, convergence.
 
-    ``slope`` is K_c = dK/dc3 at the best point, K = J - c3/2 at fixed
-    (gamma - c3/2, nu), from the evaluation that found it; at a converged
-    optimum it is the slope of min K in c3.
+    ``best_value`` is the lowest K = J - c3/2 found, at ``best_params``,
+    which carry the exact delta = gamma - c3/2.  ``slope`` is K_c = dK/dc3
+    there at fixed (delta, nu), from the evaluation that found it; at a
+    converged optimum it is the slope of min K in c3.
     """
 
     best_params: LiftedParams
@@ -256,34 +257,32 @@ def _seed_grid(count: int) -> list[float]:
 def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
                   max_evals: int):
     """Damped Newton on (delta, nu) = (gamma - c3/2, nu) from the given
-    start; returns (gamma, nu, J, evaluations, converged, K_c).
+    start; returns (delta, nu, K, evaluations, converged, K_c).
 
-    Each evaluation is one i_uric_inner call with derivatives.  A step
-    goes at most _TO_BOUNDARY of the way to delta = 0 or nu = 0 and is
-    halved until J falls, and by _ARMIJO times the predicted decrease
-    (Armijo); a trial whose gamma rounds to c3/2, or whose 2 nu gamma
-    overflows, is halved without an evaluation.  The solve has converged
-    once the Newton decrement
-    lambda^2 = g' H^{-1} g satisfies lambda^2/2 <= tol; J is convex, so
-    that bounds J - min J to second order.  It then tries that last
-    Newton step once more, without halving, and keeps it if it passes the
-    same test: near the minimum the step cuts the gap to about its
-    square, so the reported J is within rounding of min J where the step
-    is taken.
+    Each evaluation is one delta-form i_uric_inner call.  A step goes at
+    most _TO_BOUNDARY of the way to delta = 0 or nu = 0 and is halved until
+    K falls, and by _ARMIJO times the predicted decrease (Armijo); a trial
+    whose 2 nu gamma overflows is halved without an evaluation.  The solve
+    has converged once the Newton decrement lambda^2 = g' H^{-1} g
+    satisfies lambda^2/2 <= tol, which bounds K - min K to second order
+    as K is convex, and the Newton step in nu is smaller than nu (near
+    nu = 0, K_nn ~ nu^(-1/2) hides K_nu ~ beta - 1 from the decrement).
+    It then tries that last Newton step once more, without halving, and
+    keeps it if it passes the same test: near the minimum the step cuts
+    the gap to about its square, so the reported K is within rounding of
+    min K where the step is taken.
     """
-    half_c3 = 0.5 * c3
-    gamma = half_c3 + delta
     value, (g_d, g_n), (h_dd, h_dn, h_nn), slope = i_uric_inner(
-        c3, beta, gamma, nu, derivatives=True)
+        c3, beta, None, nu, delta=delta, derivatives=True)
     evals = 1
     while True:
         det = h_dd * h_nn - h_dn * h_dn
         if not (h_dd > 0.0 and det > 0.0):  # curvature lost to underflow
-            return gamma, nu, value, evals, False, slope
+            return delta, nu, value, evals, False, slope
         step_d = (h_dn * g_n - h_nn * g_d) / det
         step_n = (h_dn * g_d - h_dd * g_n) / det
         decrement = -(g_d * step_d + g_n * step_n)  # lambda^2
-        converged = 0.5 * decrement <= tol
+        converged = 0.5 * decrement <= tol and abs(step_n) < nu
         t = 1.0
         if step_d < 0.0:
             t = min(t, -_TO_BOUNDARY * delta / step_d)
@@ -291,63 +290,52 @@ def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
             t = min(t, -_TO_BOUNDARY * nu / step_n)
         while True:
             if evals >= max_evals or t < _MIN_STEP:
-                return gamma, nu, value, evals, converged, slope
-            trial_gamma = half_c3 + (delta + t * step_d)
+                return delta, nu, value, evals, converged, slope
+            trial_delta = delta + t * step_d
             trial_nu = nu + t * step_n
-            if _evaluable(half_c3, trial_gamma, trial_nu):
-                trial = i_uric_inner(c3, beta, trial_gamma, trial_nu, derivatives=True)
+            if _evaluable(c3, trial_delta, trial_nu):
+                trial = i_uric_inner(c3, beta, None, trial_nu, delta=trial_delta,
+                                     derivatives=True)
                 evals += 1
-                # Strictly lower as well: where J's rounding hides the
-                # Armijo term, an equal J is no progress.
+                # Strictly lower as well: where K's rounding hides the
+                # Armijo term, an equal K is no progress.
                 if trial[0] < value and trial[0] <= value - _ARMIJO * t * decrement:
                     break
             if converged:
-                return gamma, nu, value, evals, True, slope
+                return delta, nu, value, evals, True, slope
             t *= 0.5
-        gamma, nu = trial_gamma, trial_nu
+        delta, nu = trial_delta, trial_nu
         if converged:
-            return gamma, nu, trial[0], evals, True, trial[3]
-        delta = gamma - half_c3
+            return delta, nu, trial[0], evals, True, trial[3]
         value, (g_d, g_n), (h_dd, h_dn, h_nn), slope = trial
 
 
-def _evaluable(half_c3: float, gamma: float, nu: float) -> bool:
-    """Whether the derivative path can evaluate J at (gamma, nu): gamma
-    does not round to c3/2 and 2 nu gamma is finite (where it overflows,
-    erfcx gives 0 and the derivatives divide by it)."""
-    return gamma > half_c3 and 2.0 * nu * gamma < math.inf
+def _evaluable(c3: float, delta: float, nu: float) -> bool:
+    """Whether the derivative path can evaluate K at (delta, nu): both are
+    positive and 2 nu gamma = nu (c3 + 2 delta) is finite (where it
+    overflows, erfcx gives 0 and the derivatives divide by it)."""
+    return delta > 0.0 and nu > 0.0 and nu * (c3 + 2.0 * delta) < math.inf
 
 
 def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None, *,
                    start: tuple[float, float] | None = None) -> OptimReport:
-    """Minimize J(c3, beta, gamma, nu) over gamma > c3/2, nu >= 0.
+    """Minimize K = J - c3/2 over delta = gamma - c3/2 > 0, nu >= 0.
 
-    Damped Newton from a sequence of (delta, nu) starts, delta =
-    gamma - c3/2 (see the module docstring):
-
-    1. ``start``, when given and feasible.  The outer search passes its
-       predictor step here: (log delta, log nu) interpolated linearly in
-       log c3 through the optima it has already found.  A ``start`` whose
-       gamma rounds to c3/2, or whose 2 nu gamma overflows, is skipped
-       without an evaluation.
-    2. The analytic c3 -> 0 optimum, the cold start of a solve without
-       ``start``.
-    3. The c3 -> inf optimum, where it exists.
-
-    The next start runs only while every run so far has ended
-    non-converged with budget left, and the lowest J found is kept.  The
-    decrement test is local, so ``start`` should estimate the optimum.
-    From starts up to 1000x off in delta and nu a converged run still
-    ends within about inner_tol of min J, so such a start costs
-    evaluations, not accuracy.  From nu near 0 (about 1e-19 and below,
-    where J_nu_nu ~ nu^(-1/2) hides J_nu ~ beta - 1) the test can pass
-    far above min J.
+    Damped Newton from the (delta, nu) starts of :func:`_newton_starts`:
+    ``start`` when given (the outer search passes its predictor step
+    here), the analytic c3 -> 0 optimum, then the c3 -> inf optimum.  A
+    start with delta <= 0 or nu <= 0, or whose 2 nu gamma overflows, is
+    skipped without an evaluation.  The next start runs only while every
+    run so far has ended non-converged with budget left, and the lowest K
+    is kept.  The convergence test is local, so ``start`` should estimate
+    the optimum; from starts up to 1000x off in delta and nu a converged
+    run still ends within about inner_tol of min K, so such a start costs
+    evaluations, not accuracy.
 
     With multistart_grid = N >= 2 it ignores ``start``, runs every start
-    that fits the budget, the two analytic ones and then each feasible
-    point of the N x N log grid in (delta, nu), and keeps the lowest J.
-    Deterministic for identical inputs; ``restarts_used`` counts the
-    starts run.
+    that fits the budget, the N x N log grid in (delta, nu) after the
+    analytic ones, and keeps the lowest K.  Deterministic for identical
+    inputs; ``restarts_used`` counts the starts run.
     """
     cfg = config or DEFAULT_CONFIG
     if not c3 > 0.0:
@@ -363,9 +351,9 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
             best = run
         if (run[4] and grid == 1) or evals >= cfg.max_evals:
             break
-    gamma, nu, value, _evals, converged, slope = best
+    delta, nu, value, _evals, converged, slope = best
     return OptimReport(
-        best_params=LiftedParams(c3=c3, gamma=gamma, nu=nu),
+        best_params=LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta),
         best_value=value,
         evaluations=evals,
         converged=converged,
@@ -468,25 +456,18 @@ def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None,
     """The (delta, nu) starts of the Newton inner solve, in order: a given
     start, the c3 -> 0 optimum, the c3 -> inf optimum, then for grid >= 2
     the points of the grid x grid log grid, by delta and then nu.  All but
-    the c3 -> 0 start are skipped unless nu > 0, gamma = c3/2 + delta does
-    not round to c3/2 and 2 nu gamma is finite.  Lazy, so a start that is
-    not needed costs nothing."""
-    half_c3 = 0.5 * c3
-
-    def feasible(seed):
-        delta, nu = seed
-        return 0.0 < nu and _evaluable(half_c3, half_c3 + delta, nu)
-
-    if start is not None and feasible(start):
+    the c3 -> 0 start are skipped unless they pass :func:`_evaluable`.
+    Lazy, so a start that is not needed costs nothing."""
+    if start is not None and _evaluable(c3, *start):
         yield start
     g0, threshold_sq = _limit_seed(beta)
-    yield g0, threshold_sq / (4.0 * (half_c3 + g0))
+    yield g0, threshold_sq / (2.0 * c3 + 4.0 * g0)  # 4 gamma nu = threshold^2
     seed = _asymptotic_seed(c3, beta)
-    if feasible(seed):
+    if _evaluable(c3, *seed):
         yield seed
     if grid >= 2:
         points = _seed_grid(grid)
-        yield from filter(feasible, ((delta, nu) for delta in points for nu in points))
+        yield from ((d, n) for d in points for n in points if _evaluable(c3, d, n))
 
 
 def _predict_start(optima: list[tuple[float, float, float]],
@@ -535,7 +516,7 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
             report = solves[c3] = minimize_inner(c3, beta, cfg, start=_predict_start(optima, t))
             if report.converged:
                 p = report.best_params
-                bisect.insort(optima, (t, math.log(p.gamma - 0.5 * c3), math.log(p.nu)))
+                bisect.insort(optima, (t, math.log(p.delta), math.log(p.nu)))
         return report
 
     def signed_objective(t: float) -> tuple[float, float]:
@@ -543,10 +524,7 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
         lower one; both are (min K + I_sph)/sqrt(alpha)."""
         c3 = ends[t] if t in ends else math.exp(t)
         report = solve(c3)
-        if upper:
-            value = upper_value_from_inner(c3, shape, report.best_value)
-        else:
-            value = -lower_value_from_inner(c3, shape, report.best_value)
+        value = signed_value(c3, alpha, report.best_value, branch)
         return value, (report.slope + i_sph_slope(c3, alpha, branch)) / math.sqrt(alpha)
 
     (best_val, best_t), edge = _slope_search(signed_objective, t_lo, t_hi, cfg.outer_tol)
@@ -584,7 +562,7 @@ def lifted_upper_objective(c3: float, shape: ProblemShape, config=None) -> float
     as c3 -> 0.
     """
     report = minimize_inner(c3, shape.beta, config)
-    return upper_value_from_inner(c3, shape, report.best_value)
+    return signed_value(c3, shape.alpha, report.best_value, SphBranch.PLUS)
 
 
 def lifted_lower_objective(c3: float, shape: ProblemShape, config=None) -> float:
@@ -595,7 +573,7 @@ def lifted_lower_objective(c3: float, shape: ProblemShape, config=None) -> float
     lower bound as c3 -> 0.
     """
     report = minimize_inner(c3, shape.beta, config)
-    return lower_value_from_inner(c3, shape, report.best_value)
+    return -signed_value(c3, shape.alpha, report.best_value, SphBranch.MINUS)
 
 
 def optimize_upper(shape: ProblemShape, config: OptimizerConfig | None = None) -> BoundResult:

@@ -6,20 +6,30 @@ series/continued fractions, extended-precision arithmetic instead of
 doubles, bisection instead of Newton, Monte Carlo instead of closed
 forms, and power iteration instead of a dense eigensolver.
 
-The module ends with reference implementations: plain loop-and-list
-forms of package kernels that the package runs in faster forms,
-against which those are checked bit for bit.
+Reference implementations follow: plain loop-and-list forms of package
+kernels that the package runs in faster forms, against which those are
+checked bit for bit.  The module ends with helpers that only the tests
+use: a support type and the extreme singular values of one support.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
 
-from ric_bounds import i_uric_inner, minimize_inner, optimizer, simple_lower, simple_upper
-from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
+from ric_bounds import (
+    GaussianMatrix,
+    SphBranch,
+    i_uric_inner,
+    minimize_inner,
+    optimizer,
+    simple_lower,
+    simple_upper,
+)
+from ric_bounds.bounds_lifted import signed_value
 from ric_bounds.specfun import _TRAP_H, _TRAP_NO_CORRECTION, _TRAP_TERMS, _TWO_PI_OVER_H
 
 
@@ -169,6 +179,14 @@ def inner_objective_mp(c3, beta, gamma, nu):
     """J(c3, beta, gamma, nu) = nu beta + gamma + log(M)/c3."""
     moment = _moment_mp(c3, gamma, nu)[0]
     return mp.mpf(nu) * mp.mpf(beta) + mp.mpf(gamma) + mp.log(moment) / mp.mpf(c3)
+
+
+def inner_k_mp(c3, beta, delta, nu):
+    """K(c3, beta, delta, nu) = J - c3/2 = nu beta + delta + log(M)/c3 at
+    gamma = c3/2 + delta, formed exactly from the binary delta."""
+    c3, delta = mp.mpf(c3), mp.mpf(delta)
+    moment = _moment_mp(c3, c3 / 2 + delta, nu)[0]
+    return mp.mpf(nu) * mp.mpf(beta) + delta + mp.log(moment) / c3
 
 
 def inner_gradient_mp(c3, beta, gamma, nu):
@@ -412,10 +430,8 @@ def optimize_outer_scan(shape, cfg, upper: bool) -> tuple[float, float, bool]:
     def signed_objective(c3):
         if c3 not in reports:
             reports[c3] = minimize_inner(c3, shape.beta, cfg)
-        best = reports[c3].best_value
-        if upper:
-            return upper_value_from_inner(c3, shape, best)
-        return -lower_value_from_inner(c3, shape, best)
+        branch = SphBranch.PLUS if upper else SphBranch.MINUS
+        return signed_value(c3, shape.alpha, reports[c3].best_value, branch)
 
     def log_grid(lo, hi, count):
         ratio = hi / lo
@@ -457,24 +473,53 @@ def optimize_outer_scan(shape, cfg, upper: bool) -> tuple[float, float, bool]:
 # (log(gamma - c3/2), log nu) from the analytic c3 -> 0 optimum.  Damped
 # Newton replaced it; the tests require Newton's minimum to be no higher
 # than this simplex's by more than inner_tol.  It runs here on the list
-# simplex above, which rounds exactly like the one the package used.
+# simplex above, which rounds exactly like the one the package used, on
+# K = J - c3/2 as the package's Newton does.
 
 
 def single_simplex_inner(c3: float, beta: float, cfg) -> tuple[float, int]:
-    """(best J, evaluations) of the single-start simplex."""
-    half_c3 = 0.5 * c3
+    """(best K, evaluations) of the single-start simplex."""
 
     def objective(x):
         u, v = x
         if u > 700.0 or v > 700.0:
             return math.inf
-        gamma = half_c3 + math.exp(u)
-        if not gamma > half_c3:
-            return math.inf
-        return i_uric_inner(c3, beta, gamma, math.exp(v))
+        return i_uric_inner(c3, beta, None, math.exp(v), delta=math.exp(u))
 
     g0, threshold_sq = optimizer._limit_seed(beta)
-    seed = (math.log(g0), math.log(threshold_sq / (4.0 * (half_c3 + g0))))
+    seed = (math.log(g0), math.log(threshold_sq / (4.0 * (0.5 * c3 + g0))))
     _x, fx, evals, _converged = nelder_mead_lists(
         objective, seed, step=0.5, tol=cfg.inner_tol, max_evals=cfg.max_evals)
     return fx, evals
+
+
+# --- test-only helpers of the empirical oracle --------------------------------
+
+
+@dataclass(frozen=True)
+class SupportSet:
+    """Strictly increasing 0-based column indices of one sparse support."""
+
+    indices: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.indices:
+            raise ValueError("support must be nonempty")
+        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+            raise ValueError(f"indices must be strictly increasing, got {self.indices}")
+        if self.indices[0] < 0:
+            raise ValueError(f"indices must be nonnegative, got {self.indices}")
+
+
+def extremal_singular(matrix: GaussianMatrix, support: SupportSet) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of the column submatrix on one support.
+
+    Computed from the eigenvalues of the k x k Gram form, which is
+    symmetric PSD; tiny negative eigenvalues from rounding are clamped.
+    """
+    idx = np.asarray(support.indices, dtype=np.intp)
+    if idx[-1] >= matrix.n:
+        raise ValueError(f"support {support.indices} out of range for n={matrix.n}")
+    sub = matrix.entries[:, idx]
+    eigs = np.linalg.eigvalsh(sub.T @ sub)
+    return math.sqrt(max(float(eigs[0]), 0.0)), math.sqrt(max(float(eigs[-1]), 0.0))

@@ -19,13 +19,14 @@ from ric_bounds import (
     lifted_lower_objective,
     lifted_upper_objective,
     minimize_inner,
+    optimizer,
     simple_lower,
     simple_upper,
 )
 from ric_bounds.bounds_lifted import i_sph_slope, lower_value_from_inner, upper_value_from_inner
 from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN
 
-from oracles import CERT_DPS, i_sph_mp, inner_objective_mp, moment_monte_carlo
+from oracles import CERT_DPS, i_sph_mp, inner_k_mp, inner_objective_mp, moment_monte_carlo
 
 
 class TestGammaHat:
@@ -119,6 +120,25 @@ class TestBigIUric:
         with pytest.raises(ValueError):
             big_i_uric(LiftedParams(c3=0.0, gamma=1.0, nu=0.5))  # limit point
 
+    def test_params_carry_the_exact_delta(self):
+        """delta is gamma - c3/2 when only gamma is given; given exactly, it
+        survives where gamma = c3/2 + delta rounds to c3/2, and the moment is
+        evaluated at it."""
+        assert LiftedParams(c3=0.3, gamma=0.5, nu=1.0).delta == 0.5 - 0.15
+        c3, delta = 2.0**40, 1e-20
+        nu = 1e-12  # c3 nu ~ 1, so M rests on 1 - 2p = delta/gamma
+        params = LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta)
+        assert params.gamma == 0.5 * c3 and params.delta == delta
+        with mp.workdps(CERT_DPS):
+            c3_mp, nu_mp, delta_mp = mp.mpf(c3), mp.mpf(nu), mp.mpf(delta)
+            gamma = c3_mp / 2 + delta_mp
+            exact = (mp.exp(-c3_mp * nu_mp) / mp.sqrt(delta_mp / gamma)
+                     * mp.erfc(mp.sqrt(2 * nu_mp * delta_mp))
+                     + mp.erf(mp.sqrt(2 * nu_mp * gamma)))
+            assert abs(big_i_uric(params) - exact) <= 1e-13 * exact
+        with pytest.raises(ValueError):
+            LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=1.0)  # gamma lost delta
+
     @pytest.mark.parametrize("c3,gamma,nu", [
         (0.1, 0.3, 0.5), (0.5, 0.4, 2.0), (1.0, 5.0, 0.1), (10.0, 8.0, 0.3), (0.9027, 0.5006, 3.6512),
     ])
@@ -192,15 +212,15 @@ class TestInnerObjective:
             assert got == pytest.approx(expected, abs=1e-6)
 
     def test_grid_scan_brackets_optimizer_minimum(self):
-        """A 50x50 scan over (gamma, nu) cannot beat the inner solver."""
+        """A 50x50 scan over (delta, nu) cannot beat the inner solver."""
         c3, beta = 0.4033, 0.05
         report = minimize_inner(c3, beta)
         scan_best = math.inf
         for i in range(50):
-            gamma = c3 / 2.0 + 1e-3 * (30.0 / 1e-3) ** (i / 49.0)
+            delta = 1e-3 * (30.0 / 1e-3) ** (i / 49.0)
             for j in range(50):
                 nu = 1e-3 * (30.0 / 1e-3) ** (j / 49.0)
-                scan_best = min(scan_best, i_uric_inner(c3, beta, gamma, nu))
+                scan_best = min(scan_best, i_uric_inner(c3, beta, None, nu, delta=delta))
         assert report.best_value <= scan_best + 1e-12
 
     def test_derivatives_match_extended_precision(self):
@@ -250,22 +270,64 @@ class TestInnerObjective:
     def test_c3_slope_matches_extended_precision(self, beta):
         """At the inner optimum for c3 = 2^-16 .. 2^10 the slope the solve
         reports, K_c, equals mp.diff in c3 of the 60-digit K = J - c3/2 at
-        fixed (gamma - c3/2, nu) to 1e-8 relative.  It forms no term of
-        size c3/2, so nothing cancels as c3 grows."""
+        fixed (delta, nu) to 1e-8 relative.  It forms no term of size c3/2,
+        so nothing cancels as c3 grows."""
         for k in range(-16, 11):
             c3 = 2.0**k
             report = minimize_inner(c3, beta)
             p = report.best_params
-            assert report.slope == i_uric_inner(c3, beta, p.gamma, p.nu, derivatives=True)[3]
+            assert report.slope == i_uric_inner(c3, beta, None, p.nu, delta=p.delta,
+                                                derivatives=True)[3]
             with mp.workdps(60):
-                delta = mp.mpf(p.gamma) - mp.mpf(c3) / 2
 
                 def k_mp(c):
-                    return inner_objective_mp(c, beta, c / 2 + delta, p.nu) - c / 2
+                    return inner_k_mp(c, beta, p.delta, p.nu)
 
                 exact = mp.diff(k_mp, mp.mpf(c3))
                 err = abs(float((report.slope - exact) / exact))
             assert err <= 1e-8, (c3, err)
+
+    def test_c3_slope_rounding_down_to_the_bracket_floor(self):
+        """Below 2^-16, K_c and dI_sph/dc3 are each a difference of terms of
+        size about 1/c3, so their absolute rounding error grows like eps/c3.
+        Down to the lowest c3 the outer search may evaluate,
+        optimizer._C3_FLOOR/4, each stays within 2 eps/c3 of mp.diff of the
+        60-digit function: the bound from which that floor is derived."""
+        eps = math.ulp(1.0)
+        lowest = optimizer._C3_FLOOR / 4.0
+        c3s = [2.0**k for k in range(-17, -60, -1) if 2.0**k >= lowest]
+        assert c3s[-1] < 2.0 * lowest
+        with mp.workdps(60):
+            for beta in [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX]:
+                for c3 in c3s:
+                    report = minimize_inner(c3, beta)
+                    p = report.best_params
+                    exact = mp.diff(lambda c: inner_k_mp(c, beta, p.delta, p.nu), mp.mpf(c3))
+                    assert abs(report.slope - exact) <= 2.0 * eps / c3, (beta, c3)
+            for alpha in (0.01, 0.1, 0.5, 1.0):
+                for branch in SphBranch:
+                    for c3 in c3s:
+                        exact = mp.diff(lambda c: i_sph_mp(c, alpha, branch is SphBranch.PLUS),
+                                        mp.mpf(c3))
+                        got = i_sph_slope(c3, alpha, branch)
+                        assert abs(got - exact) <= 2.0 * eps / c3, (alpha, branch, c3)
+
+    def test_k_form_matches_extended_precision(self):
+        """At the inner optimum for c3 = 2^-16 .. 2^44, where delta ~ beta/(2 c3)
+        falls far below ulp(c3/2) and J - c3/2 would cancel, the delta form
+        returns the solve's K, and c3 K = c3 nu beta + c3 delta + log(M)
+        equals the 50-digit value to 4e-15 relative."""
+        for beta in [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX]:
+            for k in range(-16, 45, 2):
+                c3 = 2.0**k
+                report = minimize_inner(c3, beta)
+                p = report.best_params
+                value = i_uric_inner(c3, beta, None, p.nu, delta=p.delta)
+                assert value == report.best_value, (beta, c3)
+                with mp.workdps(CERT_DPS):
+                    exact = inner_k_mp(c3, beta, p.delta, p.nu)
+                    err = abs(float((mp.mpf(value) - exact) / exact))
+                assert err <= 4e-15, (beta, c3, err)
 
     def test_series_ends_where_its_sum_rounds_negative(self):
         """Far from any optimum, at gamma = 1e300 (a start the caller may

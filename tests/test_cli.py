@@ -259,6 +259,35 @@ class TestInvalidConfig:
         assert err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("c3_min", ["1e-300", "1e-150"])
+    def test_c3_min_below_the_floor_exits_2(self, c3_min, capsys):
+        """Below its floor the bracket is rejected: at 1e-300, c3^2
+        underflows, and at 1e-150 the slope of the objective is rounding
+        noise, so the search would report the c3 -> 0 limit as converged."""
+        argv = ["bound", "--kind", "lower-lifted", "--alpha", "0.5", "--rho", "0.2"]
+        code, out, err = run_cli(argv + ["--c3-min", c3_min], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestLargeC3:
+    @pytest.mark.parametrize("kind", ["upper-lifted", "lower-lifted"])
+    def test_huge_c3_max_finds_the_default_optimum(self, kind, capsys):
+        """With c3 up to 1e30 the search evaluates the objective near
+        c3 = 4e30, where c3/(2 ghat) rounds to 1 and gamma to c3/2; it
+        still finds the optimum of the default bracket, converged."""
+        argv = ["bound", "--kind", kind, "--alpha", "0.5", "--rho", "0.2"]
+        code, default, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, wide, err = run_cli(argv + ["--c3-max", "1e30"], capsys)
+        assert code == 0, err
+        values = [dict(line.split(": ") for line in out.strip().splitlines())
+                  for out in (default, wide)]
+        assert values[1]["value"] == values[0]["value"]
+        assert values[1]["converged"] == "true"
+
+
 class TestCallContract:
     """The subcommands reach every solver through the cli module's globals,
     looked up at call time.  perfbench/workloads.py::_cli_boundary and the

@@ -13,15 +13,15 @@ from ric_bounds.empirical import (
     _INCUMBENTS,
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
-    SupportSet,
     _extreme_gram_eigs,
     _first_distinct,
     _sampled_supports,
     _sort_columns,
-    extremal_singular,
 )
 
 from oracles import (
+    SupportSet,
+    extremal_singular,
     extreme_gram_eigs_unscreened,
     gram_extremes_power_iteration,
     sampled_supports_loop,

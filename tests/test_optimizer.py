@@ -18,7 +18,7 @@ from ric_bounds import (
     simple_lower,
     simple_upper,
 )
-from ric_bounds.bounds_lifted import lower_value_from_inner, upper_value_from_inner
+from ric_bounds.bounds_lifted import SphBranch, signed_value, upper_value_from_inner
 from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN, KIND_LOWER_LIFTED, KIND_UPPER_LIFTED
 from ric_bounds.cli import DEFAULT_ALPHAS, DEFAULT_RHOS
 
@@ -47,6 +47,9 @@ class TestConfig:
             {"c3_bracket": (1.0, 0.5)},
             {"c3_bracket": (0.0, 2.0)},
             {"c3_bracket": (1e-4, math.inf)},
+            {"c3_bracket": (1e-300, 64.0)},
+            {"c3_bracket": (1e-150, 64.0)},
+            {"c3_bracket": (0.99 * optimizer._C3_FLOOR, 64.0)},
             {"multistart_grid": 0},
             {"max_evals": 0},
         ],
@@ -54,6 +57,9 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    def test_floor_itself_is_accepted(self):
+        assert OptimizerConfig(c3_bracket=(optimizer._C3_FLOOR, 64.0)).c3_bracket[0] > 0.0
 
 
 class TestMinimizeInner:
@@ -64,7 +70,7 @@ class TestMinimizeInner:
         assert report.converged
         assert report.best_params.gamma == pytest.approx(0.1866, abs=2e-3)
         assert report.best_params.nu == pytest.approx(11.375, rel=2e-3)
-        value = upper_value_from_inner(0.2577, ProblemShape(0.1, 0.01), report.best_value)
+        value = signed_value(0.2577, 0.1, report.best_value, SphBranch.PLUS)
         assert value == pytest.approx(1.8525, abs=5e-3)
 
     def test_reproduces_tabulated_lower_optimum(self):
@@ -72,7 +78,7 @@ class TestMinimizeInner:
         report = minimize_inner(4.0283, 0.03)
         assert report.best_params.gamma == pytest.approx(2.0184, rel=2e-3)
         assert report.best_params.nu == pytest.approx(1.5926, rel=2e-3)
-        value = lower_value_from_inner(4.0283, ProblemShape(0.1, 0.03), report.best_value)
+        value = -signed_value(4.0283, 0.1, report.best_value, SphBranch.MINUS)
         assert value == pytest.approx(0.0510, abs=5e-3)
 
     def test_best_not_worse_than_any_seed(self):
@@ -81,7 +87,7 @@ class TestMinimizeInner:
         grid = [1e-3 * (30.0 / 1e-3) ** (i / 3.0) for i in range(4)]
         for g in grid:
             for nu in grid:
-                seed_value = i_uric_inner(c3, beta, c3 / 2.0 + g, nu)
+                seed_value = i_uric_inner(c3, beta, None, nu, delta=g)
                 assert report.best_value <= seed_value + 1e-12
 
     def test_feasible_by_construction(self):
@@ -207,6 +213,24 @@ class TestMinimizeInner:
         with pytest.raises(ValueError):
             minimize_inner(0.0, 0.1)
 
+    @pytest.mark.parametrize("beta", [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX])
+    def test_converges_from_tiny_to_huge_c3(self, beta):
+        """In K and delta nothing of size c3/2 cancels, so the solve
+        converges at c3 = 2^-30 .. 2^44, where delta ~ beta/(2 c3) lies far
+        below ulp(c3/2), with delta and nu positive."""
+        for k in range(-30, 45, 2):
+            c3 = 2.0**k
+            report = minimize_inner(c3, beta)
+            assert report.converged, c3
+            assert report.best_params.delta > 0.0 and report.best_params.nu > 0.0, c3
+
+    def test_c3_to_zero_start_far_out_is_evaluable(self):
+        """At c3 = 8.9e13 and beta = 1e-6 the c3 -> 0 start once rounded
+        gamma to one ulp above c3/2 and the moment diverged; in delta it is
+        an ordinary start, and the solve converges in a few evaluations."""
+        report = minimize_inner(8.9e13, 1e-6)
+        assert report.converged and report.evaluations <= 10
+
 
 
 class TestWarmStart:
@@ -218,8 +242,7 @@ class TestWarmStart:
 
     @staticmethod
     def _optimum(report):
-        params = report.best_params
-        return params.gamma - 0.5 * params.c3, params.nu
+        return report.best_params.delta, report.best_params.nu
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_start_at_the_optimum_converges_at_once(self, beta):
@@ -246,16 +269,30 @@ class TestWarmStart:
             assert far.best_value <= cold.best_value + cfg.inner_tol, c3
 
     @pytest.mark.parametrize("c3,beta", [(2.0**16, 0.005), (2.0**14, 0.07), (0.5, 0.1)])
-    def test_start_that_rounds_to_the_boundary_is_skipped(self, c3, beta):
-        """gamma = c3/2 + delta rounds to c3/2, or 2 nu gamma overflows
-        (where erfcx is 0 and the derivatives would divide by it): the start
-        costs no evaluation and the solve is the cold one, bit for bit."""
+    def test_start_off_the_domain_is_skipped(self, c3, beta):
+        """delta <= 0 or nu <= 0, or 2 nu gamma overflows (where erfcx is 0
+        and the derivatives would divide by it): the start costs no
+        evaluation and the solve is the cold one, bit for bit.  A delta
+        below ulp(c3/2), which gamma = c3/2 + delta cannot hold, is a
+        start like any other."""
         cold = minimize_inner(c3, beta)
-        tiny = math.ulp(0.5 * c3) / 4.0
-        assert 0.5 * c3 + tiny == 0.5 * c3
-        for start in [(tiny, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.inf),
+        for start in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.inf),
                       (1e200, 1e200), (1.0, 1e308)]:
             assert minimize_inner(c3, beta, start=start) == cold, start
+        tiny = math.ulp(0.5 * c3) / 4.0
+        report = minimize_inner(c3, beta, start=(tiny, cold.best_params.nu))
+        assert report.converged
+        assert report.best_value <= cold.best_value + OptimizerConfig().inner_tol
+
+    def test_start_near_nu_zero_is_not_converged_early(self):
+        """From nu = 1e-300, K_nn ~ nu^(-1/2) hides K_nu ~ beta - 1 from the
+        Newton decrement, which passes at once; the Newton step in nu, far
+        larger than nu, does not, so the solve goes on to the cold one's
+        minimum instead of reporting K near 1 as converged."""
+        cold = minimize_inner(1e-6, 0.1)
+        report = minimize_inner(1e-6, 0.1, start=(1.0, 1e-300))
+        assert report.converged
+        assert abs(report.best_value - cold.best_value) <= OptimizerConfig().inner_tol
 
     @pytest.mark.parametrize("c3,beta", [(0.5, 0.1), (16.0, 0.5), (1e-3, 0.9)])
     def test_stalled_start_falls_back_to_the_cold_starts(self, c3, beta):
@@ -283,7 +320,7 @@ class TestWarmStart:
         def scripted(c3_, beta_, delta, nu, tol, max_evals):
             seen.append((delta, nu, max_evals))
             value = (2.0, 1.0, 3.0)[len(seen) - 1]
-            return c3_ / 2.0 + delta, nu, value, 5, False, -value
+            return delta, nu, value, 5, False, -value
 
         monkeypatch.setattr(optimizer, "_newton_inner", scripted)
         report = minimize_inner(c3, beta, OptimizerConfig(max_evals=100), start=(0.3, 0.7))
@@ -545,6 +582,31 @@ class TestEdgeBehavior:
         assert not result.converged
         assert len(solves) <= 3
         assert result.params.c3 == 4.0 * OptimizerConfig().c3_bracket[1]
+        assert result.value >= simple_lower(shape).value
+
+    def test_wider_bracket_keeps_the_high_rho_maximum(self):
+        """Lower (0.7, 0.9) peaks at c3 ~ 2.7e4.  Searched with c3 up to
+        1e5 or up to 1e7, it reports the same maximum to the CSV's 6
+        digits, converged: K keeps delta ~ 2e-5 exact next to c3/2."""
+        shape = ProblemShape.from_rho(0.7, 0.9)
+        rows = []
+        for hi in (1e5, 1e7):
+            result = optimize_lower(shape, OptimizerConfig(c3_bracket=(1e-4, hi)))
+            assert result.converged, hi
+            rows.append((f"{result.value:.6g}", f"{result.params.c3:.6g}"))
+        assert rows[0] == rows[1]
+        assert float(rows[0][0]) > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3])
+    def test_maximum_past_the_bracket_is_not_converged(self, alpha):
+        """Lower (0.3, 0.9) and (0.1, 0.9) peak at c3 ~ 4e8 and ~ 1e13, past
+        4 hi = 4e7.  The slope there still points outward, so the search
+        stops at 4 hi non-converged, never at a root of rounding; the value
+        is still a valid bound."""
+        shape = ProblemShape.from_rho(alpha, 0.9)
+        result = optimize_lower(shape, OptimizerConfig(c3_bracket=(1e-4, 1e7)))
+        assert not result.converged
+        assert result.params.c3 == 4e7
         assert result.value >= simple_lower(shape).value
 
     def test_bound_result_params_presence_contract(self):
