@@ -34,12 +34,19 @@ float32 on a copy of A^T A rescaled by a power of two, gathering each
 block's lower triangle once, with a margin sized by the backward error
 of float32 Cholesky; eigvalsh runs in float64 on the original.  The
 reported extremes are exactly those of eigvalsh over all supports.
+
+In exhaustive mode the supports are not listed.  A lex subset lattice
+builds each block's factor row by row: the last row of S comes from
+those of S[:-1] and S[:-2] + (s_j,), so a row is computed once for all
+the supports that share it, in O(k) per support.  Its float32 operations
+and their order are those of the chunked screen, so at the incumbents'
+shifts it skips exactly the blocks that screen skips; only the rest are
+listed, and they go through the chunked screen and eigvalsh.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -252,6 +259,16 @@ def _cholesky_succeeds(mats: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _screen_copy(gram_full: np.ndarray, k: int) -> tuple[float, int, np.ndarray, float]:
+    """(max diag, shift, row-major flat float32 copy of 2^shift * gram_full,
+    margin per unit of max(max diag, lambda_max)) for the k x k screens;
+    see _extreme_gram_eigs."""
+    top = float(np.diagonal(gram_full).max())
+    shift = 1 - math.frexp(top)[1]
+    gram32 = np.ldexp(gram_full, shift).astype(np.float32).ravel()
+    return top, shift, gram32, 4.0 * k * (k + 1) * float(np.finfo(np.float32).eps)
+
+
 def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[float, float]:
     """(min, max) eigenvalue over all k x k Gram blocks indexed by supports.
 
@@ -296,11 +313,7 @@ def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[flo
     n = gram_full.shape[0]
     k = supports.shape[1]
     diag = np.diagonal(gram_full)
-    top = float(diag.max())
-    shift = 1 - math.frexp(top)[1]
-    # Row-major flat float32 copy of s * gram_full, s = 2^shift.
-    gram32 = np.ldexp(gram_full, shift).astype(np.float32).ravel()
-    slack = 4.0 * k * (k + 1) * float(np.finfo(np.float32).eps)
+    top, shift, gram32, slack = _screen_copy(gram_full, k)
     lam_min = math.inf
     lam_max = -math.inf
 
@@ -339,6 +352,98 @@ def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[flo
     return lam_min, lam_max
 
 
+@functools.lru_cache(maxsize=8)
+def _lex_lattice(n: int, k: int) -> tuple[tuple, ...]:
+    """Read-only tables (counts, u, g, pieces) of levels 2..k of the lex
+    subset lattice.  Level 1 is the n singletons; level j lists in lex
+    order the j-subsets S whose prefix T = S[:-1] can start a k-subset, so
+    level k is every k-subset.  The records sharing T are contiguous, so
+    an array over level j - 1 repeated by counts lines up with level j.
+    u indexes U = S[:-2] + (s_j,) in level j - 1, g = s_j n + s_{j-1} is
+    the flat index of the pair's lower-triangle entry, and pieces cuts the
+    level at prefix boundaries into runs (p0, p1, r0, r1) of about _CHUNK
+    records r0..r1 - 1 with prefixes p0..p1 - 1."""
+    index = np.int32 if max(n * n, k * math.comb(n, k)) < 2**31 else np.intp
+    last, base = np.arange(n), np.zeros(n, dtype=np.intp)  # u = base[T] + s_j
+    levels = []
+    for j in range(2, k + 1):
+        counts = np.where(last <= n - k + j - 2, n - 1 - last, 0)
+        first = np.concatenate([[0], np.cumsum(counts)])
+        t = np.repeat(np.arange(counts.size), counts)
+        prev, last = last[t], last[t] + 1 + np.arange(t.size) - first[t]
+        tables = [a.astype(index) for a in (counts, base[t] + last, last * n + prev)]
+        base = first[t] - prev - 1
+        for table in tables:
+            table.setflags(write=False)
+        cuts = np.unique(np.append(np.searchsorted(first, np.arange(0, t.size, _CHUNK)), counts.size))
+        levels.append((*tables, tuple(zip(cuts[:-1], cuts[1:], first[cuts[:-1]], first[cuts[1:]]))))
+    return tuple(levels)
+
+
+def _lattice_rows(n: int, k: int, index: np.ndarray) -> np.ndarray:
+    """The k-subsets at the given lex ranks, one row each."""
+    rows = np.empty((index.size, k), dtype=np.intp)
+    for j, (counts, _, g, _) in reversed(list(enumerate(_lex_lattice(n, k), start=2))):
+        rows[:, j - 1] = g[index] // n
+        index = np.searchsorted(np.cumsum(counts), index, side="right")
+    rows[:, 0] = index
+    return rows
+
+
+def _lattice_skips(gram32: np.ndarray, n: int, k: int, lower: np.float32,
+                   upper: np.float32) -> np.ndarray:
+    """Per k-subset in lex order, whether _cholesky_succeeds holds for both
+    G - lower I and upper I - G, G its block of the flat float32 gram32.
+
+    The last factor row of a level-j record S is (off(U), x), where
+    x = (g_{s_j s_{j-1}} - off(T) . off(U)) / lambda(T); its pivot is
+    pivot(U) - x^2 and lambda(S) = sqrt(pivot(S)).  The dot product is
+    subtracted term by term and a failed record gets an infinite lambda,
+    as in _cholesky_succeeds, so each pivot is the one it computes.  The
+    two sides run side by side in the last axis, a piece at a time."""
+    pair = np.stack([gram32, -gram32], axis=1)
+    diag = gram32[:: n + 1]
+    piv = np.stack([diag - lower, -diag + upper], axis=1)
+    ok = piv > 0.0
+    off: list[np.ndarray] = []
+    for j, (counts, u, g, pieces) in enumerate(_lex_lattice(n, k), start=2):
+        parts = []
+        for p0, p1, r0, r1 in pieces:
+            runs = counts[p0:p1]
+            lam_t = np.repeat(np.sqrt(np.where(ok[p0:p1], piv[p0:p1], np.inf)), runs, axis=0)
+            num = np.take(pair, g[r0:r1], axis=0)
+            off_u = [np.take(row, u[r0:r1], axis=0) for row in off]
+            for row, row_u in zip(off, off_u):
+                num -= np.repeat(row[p0:p1], runs, axis=0) * row_u
+            x = np.divide(num, lam_t, out=num)
+            piv_s = np.take(piv, u[r0:r1], axis=0) - x * x
+            ok_s = (lam_t < np.inf) & (piv_s > 0.0)
+            parts.append([ok_s[:, 0] & ok_s[:, 1]] if j == k else [ok_s, piv_s, *off_u, x])
+        ok, *rest = (np.concatenate(part) for part in zip(*parts))
+        if j == k:
+            return ok
+        piv, *off = rest
+    return ok[:, 0] & ok[:, 1]
+
+
+def _exhaustive_extremes(gram_full: np.ndarray, k: int) -> tuple[float, float]:
+    """_extreme_gram_eigs over every k-subset of the columns.  Its extremes
+    over the strided sample are the incumbents; the lattice screens every
+    support against them, and only the blocks it keeps are listed for
+    _extreme_gram_eigs."""
+    n = gram_full.shape[0]
+    total = math.comb(n, k)
+    sample = _lattice_rows(n, k, np.arange(0, total, -(-total // _CHUNK)))
+    lam_min, lam_max = _extreme_gram_eigs(gram_full, sample)
+    top, shift, gram32, slack = _screen_copy(gram_full, k)
+    margin = slack * max(top, lam_max)
+    skip = _lattice_skips(gram32, n, k, np.float32(math.ldexp(lam_min + margin, shift)),
+                          np.float32(math.ldexp(lam_max - margin, shift)))
+    # The sample's extreme blocks cannot pass the screen, so some are kept.
+    lo, hi = _extreme_gram_eigs(gram_full, _lattice_rows(n, k, np.flatnonzero(~skip)))
+    return min(lam_min, lo), max(lam_max, hi)
+
+
 def empirical_ric(
     m: int,
     n: int,
@@ -362,12 +467,6 @@ def empirical_ric(
 
     total = math.comb(n, k)
     exhaustive = total <= support_budget
-    if exhaustive:
-        all_supports = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-            dtype=np.intp,
-            count=total * k,
-        ).reshape(total, k)
 
     sqrt_m = math.sqrt(m)
     uric_per_trial: list[float] = []
@@ -375,8 +474,11 @@ def empirical_ric(
     for trial in range(trials):
         matrix = sample_matrix(m, n, seed, trial)
         gram_full = matrix.entries.T @ matrix.entries
-        supports = all_supports if exhaustive else _sampled_supports(n, k, support_budget, seed, trial)
-        lam_min, lam_max = _extreme_gram_eigs(gram_full, supports)
+        if exhaustive:
+            lam_min, lam_max = _exhaustive_extremes(gram_full, k)
+        else:
+            supports = _sampled_supports(n, k, support_budget, seed, trial)
+            lam_min, lam_max = _extreme_gram_eigs(gram_full, supports)
         uric_per_trial.append(math.sqrt(max(lam_max, 0.0)) / sqrt_m)
         lric_per_trial.append(math.sqrt(max(lam_min, 0.0)) / sqrt_m)
 

@@ -96,6 +96,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 # that, the search follows rounding noise.
 _C3_FLOOR = 64.0 * _EPS
 
+# Largest upper end of the c3 bracket.  The outer search evaluates up to
+# c3 = 4 hi, and gamma_hat forms 4 c3^2, which overflows once c3 exceeds
+# sqrt(float max)/2; so hi is at most sqrt(float max)/8, about 1.68e153.
+_C3_CEILING = math.sqrt(sys.float_info.max) / 8.0
+
 # Multistart seed range for delta = gamma - c3/2 and nu (log-spaced).
 _SEED_LO = 1e-3
 _SEED_HI = 30.0
@@ -127,7 +132,8 @@ class OptimizerConfig:
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
         where the objective's slope still points outward.  lo must be at
         least 64 eps (about 1.4e-14), where the slope is still more than
-        rounding noise.
+        rounding noise, and hi at most sqrt(float max)/8 (about 1.68e153),
+        where the spherical term is still finite at 4 hi.
     max_evals: cap on the evaluations of K per inner solve, rejected
         line-search trials included.  Each start runs with the budget the
         earlier ones left, and a run that reaches the cap stops there,
@@ -144,9 +150,9 @@ class OptimizerConfig:
         if not (self.inner_tol > 0.0 and self.outer_tol > 0.0):
             raise ValueError(f"tolerances must be positive, got {self}")
         lo, hi = self.c3_bracket
-        if not _C3_FLOOR <= lo < hi < math.inf:
-            raise ValueError(f"c3 bracket must satisfy {_C3_FLOOR:.3g} <= lo < hi < inf, "
-                             f"got {self.c3_bracket}")
+        if not _C3_FLOOR <= lo < hi <= _C3_CEILING:
+            raise ValueError(f"c3 bracket must satisfy {_C3_FLOOR:.3g} <= lo < hi <= "
+                             f"{_C3_CEILING:.3g}, got {self.c3_bracket}")
         if self.multistart_grid < 1 or self.max_evals < 1:
             raise ValueError(f"grid count and budget must be positive, got {self}")
 

@@ -258,6 +258,18 @@ class TestInvalidConfig:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--kind", "lower-lifted", "--alpha", "0.5", "--rho", "0.2"],
+        COMMANDS["sweep"],
+    ], ids=["bound", "sweep"])
+    def test_c3_max_above_the_ceiling_exits_2(self, argv, capsys):
+        """At c3 = 1e160 the spherical term's c3^2 overflows, so the
+        bracket is rejected up front, not left to crash in a solve."""
+        code, out, err = run_cli(argv + ["--c3-max", "1e160"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
     @pytest.mark.parametrize("c3_min", ["1e-300", "1e-150"])
     def test_c3_min_below_the_floor_exits_2(self, c3_min, capsys):

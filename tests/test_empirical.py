@@ -13,9 +13,15 @@ from ric_bounds.empirical import (
     _INCUMBENTS,
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
+    _cholesky_succeeds,
+    _exhaustive_extremes,
     _extreme_gram_eigs,
     _first_distinct,
+    _lattice_rows,
+    _lattice_skips,
+    _lex_lattice,
     _sampled_supports,
+    _screen_copy,
     _sort_columns,
 )
 
@@ -355,3 +361,151 @@ class TestScreenMatchesReference:
             assert sum(solved) < 0.05 * supports.shape[0]
             monkeypatch.undo()
             assert got == extreme_gram_eigs_unscreened(gram, supports)
+
+
+def _lex_supports(n, k):
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+
+
+class TestLatticeScreen:
+    """The exhaustive path: the lex subset lattice screens every support
+    with the pivots of the chunked float32 Cholesky, and its extremes are
+    those of eigvalsh on every block."""
+
+    SHAPES = [(4, 6, 1), (6, 20, 2), (8, 14, 7), (10, 12, 9), (22, 24, 20), (20, 40, 4)]
+
+    @pytest.mark.parametrize("m,n,k", SHAPES)
+    def test_rows_are_the_lex_combinations(self, m, n, k):
+        total = math.comb(n, k)
+        got = _lattice_rows(n, k, np.arange(total))
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _lex_supports(n, k))
+        index = np.array([total - 1, 0, total // 3])
+        assert np.array_equal(_lattice_rows(n, k, index), _lex_supports(n, k)[index])
+
+    @pytest.mark.parametrize("m,n,k", SHAPES)
+    def test_tables_are_read_only_and_small(self, m, n, k):
+        """Each level is cut into pieces that tile its records and their
+        prefixes, and the tables hold at most k C(n, k) records."""
+        levels = _lex_lattice(n, k)
+        assert len(levels) == k - 1
+        records = 0
+        for counts, u, g, pieces in levels:
+            for table in (counts, u, g):
+                assert not table.flags.writeable
+            assert counts.sum() == u.size == g.size
+            first = np.concatenate([[0], np.cumsum(counts)])
+            assert [p[0] for p in pieces] == [0] + [p[1] for p in pieces[:-1]]
+            assert pieces[-1][1] == counts.size
+            assert all(first[p0] == r0 and first[p1] == r1 for p0, p1, r0, r1 in pieces)
+            assert max(r1 - r0 for _, _, r0, r1 in pieces) <= _CHUNK + n
+            records += u.size
+        assert records <= k * math.comb(n, k)
+
+    def test_record_count_when_k_exceeds_half_n(self):
+        assert sum(level[1].size for level in _lex_lattice(24, 20)) == 187_701
+
+    @pytest.mark.parametrize("where", ["tight", "lower at the median", "upper at the median"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_skips_equal_the_chunked_screen(self, where, seed):
+        """At fixed shifts the lattice skips exactly the blocks whose two
+        float32 Cholesky factorizations succeed; at a median shift about
+        half the blocks fail on that side, at each of the k pivots."""
+        n, k = 40, 4
+        gram = _random_gram(20, n, seed)
+        supports = _lex_supports(n, k)
+        _, shift, gram32, _ = _screen_copy(gram, k)
+        eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+        lo, hi = eigs[:, 0].min(), eigs[:, -1].max()
+        lower, upper = {"tight": (lo * 1.001, hi * 0.999),
+                        "lower at the median": (np.median(eigs[:, 0]), 2.0 * hi),
+                        "upper at the median": (0.5 * lo, np.median(eigs[:, -1]))}[where]
+        lower, upper = np.float32(math.ldexp(lower, shift)), np.float32(math.ldexp(upper, shift))
+        cols = supports.T
+        lower_blocks = np.empty((k, k, supports.shape[0]), dtype=np.float32)
+        for i in range(k):
+            lower_blocks[i, : i + 1] = gram32[cols[i] * n + cols[: i + 1]]
+        upper_blocks = np.negative(lower_blocks)
+        on_diag = (np.arange(k), np.arange(k))
+        lower_blocks[on_diag] -= lower
+        upper_blocks[on_diag] += upper
+        want = _cholesky_succeeds(lower_blocks) & _cholesky_succeeds(upper_blocks)
+        got = _lattice_skips(gram32, n, k, lower, upper)
+        assert np.array_equal(got, want)
+        assert 0 < want.sum() < want.size
+
+    @pytest.mark.parametrize("m,n,k", SHAPES)
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_extremes_bit_for_bit(self, m, n, k, duplicate):
+        gram = _random_gram(m, n, 3, duplicate)
+        got = _exhaustive_extremes(gram, k)
+        assert got == extreme_gram_eigs_unscreened(gram, _lex_supports(n, k))
+        if duplicate and k > 1:
+            assert abs(got[0]) < 1e-12 * gram.diagonal().max()
+
+    @pytest.mark.parametrize("case", ["2^130", "2^-130", "2^200", "2^-200", "2^600", "2^-600",
+                                      "2^1000", "2^-1000", "column 0 by 2^150"])
+    def test_extreme_scales(self, case):
+        gram = _random_gram(6, 40, 0)
+        if case.startswith("column"):
+            gram[0, :] *= 2.0**150
+            gram[:, 0] *= 2.0**150
+        else:
+            gram *= 2.0 ** int(case[2:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _exhaustive_extremes(gram, 3)
+        assert got == extreme_gram_eigs_unscreened(gram, _lex_supports(40, 3))
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 3e-8, 1e-8, 1e-9])
+    def test_near_tie_needs_the_float32_margin(self, delta):
+        """Columns 21-24 and 25-28 are twins of the blocks of columns 0-20
+        in the strided incumbent sample with the largest and the smallest
+        eigenvalue: a rotation in row space keeps each twin's Gram block
+        that of its original scaled by 1 + delta or 1 - delta, while its
+        columns mix with the others like fresh ones.  Each twin beats its
+        original by a relative delta, closer than float32 can tell, and
+        its support is not in the sample, so only the margin sends it to
+        eigvalsh."""
+        m, n, k = 12, 29, 4
+        supports = _lex_supports(n, k)
+        step = -(-supports.shape[0] // _CHUNK)
+        for twin in (np.arange(21, 25), np.arange(25, 29)):
+            assert int(np.flatnonzero((supports == twin).all(axis=1))[0]) % step != 0
+        sample = supports[::step]
+        sample = sample[sample.max(axis=1) < 21]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((m, n))
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            eigs = np.linalg.eigvalsh((a.T @ a)[sample[:, :, None], sample[:, None, :]])
+            a[:, 21:25] = q @ a[:, sample[eigs[:, -1].argmax()]] * math.sqrt(1.0 + delta)
+            a[:, 25:29] = q @ a[:, sample[eigs[:, 0].argmin()]] * math.sqrt(1.0 - delta)
+            gram = a.T @ a
+            assert _exhaustive_extremes(gram, k) == extreme_gram_eigs_unscreened(
+                gram, supports), f"seed {seed}"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_shape_end_to_end(self, seed, monkeypatch):
+        """empirical_ric at the benchmark's exhaustive shape reports the
+        square roots of eigvalsh's extremes over every support, and few
+        blocks reach eigvalsh."""
+        m, n, k, trials = 20, 40, 4, 2
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            solved.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        uric, lric = empirical_ric(m, n, k, trials=trials, support_budget=100_000, seed=seed)
+        monkeypatch.undo()
+        supports = _lex_supports(n, k)
+        assert uric.mode == MODE_EXHAUSTIVE
+        assert sum(solved) < 0.05 * trials * supports.shape[0]
+        for trial in range(trials):
+            entries = sample_matrix(m, n, seed, trial).entries
+            lo, hi = extreme_gram_eigs_unscreened(entries.T @ entries, supports)
+            assert uric.per_trial[trial] == math.sqrt(max(hi, 0.0)) / math.sqrt(m)
+            assert lric.per_trial[trial] == math.sqrt(max(lo, 0.0)) / math.sqrt(m)

@@ -18,7 +18,7 @@ from ric_bounds import (
     simple_lower,
     simple_upper,
 )
-from ric_bounds.bounds_lifted import SphBranch, signed_value, upper_value_from_inner
+from ric_bounds.bounds_lifted import SphBranch, i_sph, signed_value, upper_value_from_inner
 from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN, KIND_LOWER_LIFTED, KIND_UPPER_LIFTED
 from ric_bounds.cli import DEFAULT_ALPHAS, DEFAULT_RHOS
 
@@ -50,6 +50,7 @@ class TestConfig:
             {"c3_bracket": (1e-300, 64.0)},
             {"c3_bracket": (1e-150, 64.0)},
             {"c3_bracket": (0.99 * optimizer._C3_FLOOR, 64.0)},
+            {"c3_bracket": (1e-4, 1e160)},
             {"multistart_grid": 0},
             {"max_evals": 0},
         ],
@@ -60,6 +61,11 @@ class TestConfig:
 
     def test_floor_itself_is_accepted(self):
         assert OptimizerConfig(c3_bracket=(optimizer._C3_FLOOR, 64.0)).c3_bracket[0] > 0.0
+
+    def test_ceiling_itself_is_accepted(self):
+        assert OptimizerConfig(c3_bracket=(1e-4, optimizer._C3_CEILING)).c3_bracket[1] > 1e153
+        with pytest.raises(ValueError):
+            OptimizerConfig(c3_bracket=(1e-4, math.nextafter(optimizer._C3_CEILING, math.inf)))
 
 
 class TestMinimizeInner:
@@ -223,6 +229,18 @@ class TestMinimizeInner:
             report = minimize_inner(c3, beta)
             assert report.converged, c3
             assert report.best_params.delta > 0.0 and report.best_params.nu > 0.0, c3
+
+    @pytest.mark.parametrize("beta", [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX])
+    def test_converges_at_the_far_end_of_the_widest_bracket(self, beta):
+        """The outer search evaluates up to 4 x the bracket's ceiling; the
+        inner solve converges there, and both spherical branches stay
+        finite."""
+        c3 = 4.0 * optimizer._C3_CEILING
+        report = minimize_inner(c3, beta)
+        assert report.converged
+        assert report.best_params.delta > 0.0 and report.best_params.nu > 0.0
+        for branch in SphBranch:
+            assert math.isfinite(i_sph(c3, 0.5, branch))
 
     def test_c3_to_zero_start_far_out_is_evaluable(self):
         """At c3 = 8.9e13 and beta = 1e-6 the c3 -> 0 start once rounded
