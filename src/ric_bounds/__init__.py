@@ -17,6 +17,13 @@ numpy.  The empirical names (``EmpiricalEstimate``, ``GaussianMatrix``,
 ``empirical_ric``, ``sample_matrix``) are served by a module
 ``__getattr__`` (PEP 562) that imports :mod:`empirical`, and numpy with
 it, on first use.
+
+The import also keeps off the stdlib's data-class module (with the
+``inspect``, ``dis``, ``ast`` and ``tokenize`` it pulls in), ``typing``,
+``importlib.resources`` and ``csv``: in a fresh ``python -I`` the import
+and the reference tables take about 7 ms instead of about 25 ms.  The
+records are therefore immutable named tuples that validate in
+``__new__``; they unpack, and compare equal to a tuple of equal fields.
 """
 
 __version__ = "0.1.0"

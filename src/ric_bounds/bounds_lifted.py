@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds_simple import ProblemShape, _check_beta
 from .specfun import erfcx
@@ -59,8 +59,7 @@ class SphBranch(enum.Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class LiftedParams:
+class LiftedParams(namedtuple("LiftedParams", ("c3", "gamma", "nu", "delta"))):
     """Comparison parameter c3 >= 0, dual pair (gamma, nu) and
     delta = gamma - c3/2, which must be positive for the moment to be
     finite.  The solvers pass delta exactly: past c3 ~ 1e7 the optimal
@@ -69,18 +68,18 @@ class LiftedParams:
     closed-form limit point.
     """
 
-    c3: float
-    gamma: float
-    nu: float
-    delta: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.delta is None:
-            object.__setattr__(self, "delta", self.gamma - 0.5 * self.c3)
-        if self.c3 < 0.0 or self.nu < 0.0:
+    def __new__(cls, c3: float, gamma: float, nu: float,
+                delta: float | None = None) -> LiftedParams:
+        if delta is None:
+            delta = gamma - 0.5 * c3
+        self = super().__new__(cls, c3, gamma, nu, delta)
+        if c3 < 0.0 or nu < 0.0:
             raise ValueError(f"c3 and nu must be nonnegative, got {self}")
-        if not self.delta > 0.0:
+        if not delta > 0.0:
             raise ValueError(f"gamma must exceed c3/2 (moment finiteness), got {self}")
+        return self
 
 
 def gamma_hat(c3: float, alpha: float, branch: SphBranch) -> float:

@@ -18,13 +18,9 @@ as computed, with flagging left to presentation layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .specfun import erfinv
-
-if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from .bounds_lifted import LiftedParams
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -46,20 +42,18 @@ BOUND_KINDS = (
 _LIFTED_KINDS = frozenset({KIND_UPPER_LIFTED, KIND_LOWER_LIFTED})
 
 
-@dataclass(frozen=True)
-class ProblemShape:
+class ProblemShape(namedtuple("ProblemShape", ("alpha", "beta"))):
     """Aspect-ratio pair (alpha, beta) = (m/n, k/n) with 0 < beta < alpha <= 1."""
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+    def __new__(cls, alpha: float, beta: float) -> ProblemShape:
+        self = super().__new__(cls, alpha, beta)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ValueError(f"shape must be finite, got {self}")
-        if not 0.0 < self.beta < self.alpha <= 1.0:
-            raise ValueError(
-                f"shape requires 0 < beta < alpha <= 1, got alpha={self.alpha}, beta={self.beta}"
-            )
+        if not 0.0 < beta < alpha <= 1.0:
+            raise ValueError(f"shape requires 0 < beta < alpha <= 1, got alpha={alpha}, beta={beta}")
+        return self
 
     @property
     def rho(self) -> float:
@@ -71,8 +65,8 @@ class ProblemShape:
         return cls(alpha=alpha, beta=rho * alpha)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(namedtuple("BoundResult", ("kind", "value", "params", "converged",
+                                              "evaluations"))):
     """A computed bound value together with how it was obtained.
 
     ``params`` carries the achieving (c3, gamma, nu) for the lifted kinds
@@ -80,21 +74,20 @@ class BoundResult:
     inner objective evaluations of all inner solves (0 for closed forms).
     """
 
-    kind: str
-    value: float
-    params: "LiftedParams | None" = None
-    converged: bool = True
-    evaluations: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        if (self.params is not None) != (self.kind in _LIFTED_KINDS):
+    def __new__(cls, kind: str, value: float, params: "LiftedParams | None" = None,
+                converged: bool = True, evaluations: int = 0) -> BoundResult:
+        self = super().__new__(cls, kind, value, params, converged, evaluations)
+        if kind not in BOUND_KINDS:
+            raise ValueError(f"unknown bound kind {kind!r}")
+        if (params is not None) != (kind in _LIFTED_KINDS):
             raise ValueError(f"params must be present iff the kind is lifted, got {self}")
-        if self.kind in (KIND_UPPER_SIMPLE, KIND_UPPER_LIFTED) and not self.value >= 1.0 - 1e-9:
-            raise ValueError(f"upper bounds are >= 1 by construction, got {self.value}")
-        if self.kind == KIND_LOWER_SIMPLE and not self.value <= 1.0 + 1e-9:
-            raise ValueError(f"the simple lower bound is <= 1 by construction, got {self.value}")
+        if kind in (KIND_UPPER_SIMPLE, KIND_UPPER_LIFTED) and not value >= 1.0 - 1e-9:
+            raise ValueError(f"upper bounds are >= 1 by construction, got {value}")
+        if kind == KIND_LOWER_SIMPLE and not value <= 1.0 + 1e-9:
+            raise ValueError(f"the simple lower bound is <= 1 by construction, got {value}")
+        return self
 
 
 def _check_beta(beta: float) -> None:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -93,39 +93,32 @@ def _entry_normals(seed: int, trial: int, m: int, n: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-@dataclass(frozen=True)
-class GaussianMatrix:
+class GaussianMatrix(namedtuple("GaussianMatrix", ("m", "n", "seed", "trial", "entries"))):
     """An m x n matrix of i.i.d. standard normals, reproducible from its key."""
 
-    m: int
-    n: int
-    seed: int
-    trial: int
-    entries: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.m < self.n:
-            raise ValueError(f"requires 0 < m < n, got m={self.m}, n={self.n}")
-        if self.entries.shape != (self.m, self.n):
-            raise ValueError(f"entries shape {self.entries.shape} != ({self.m}, {self.n})")
+    def __new__(cls, m: int, n: int, seed: int, trial: int, entries: np.ndarray) -> GaussianMatrix:
+        if not 0 < m < n:
+            raise ValueError(f"requires 0 < m < n, got m={m}, n={n}")
+        if entries.shape != (m, n):
+            raise ValueError(f"entries shape {entries.shape} != ({m}, {n})")
+        return super().__new__(cls, m, n, seed, trial, entries)
 
 
-@dataclass(frozen=True)
-class EmpiricalEstimate:
+class EmpiricalEstimate(namedtuple("EmpiricalEstimate", ("quantity", "mean", "stddev", "trials",
+                                                         "mode", "supports_per_trial",
+                                                         "per_trial"))):
     """Across-trial statistics of one normalized extreme.
 
-    In sampled mode the per-trial uric values are lower bounds on the
+    ``quantity`` is "uric" or "lric", ``mode`` MODE_EXHAUSTIVE or
+    MODE_SAMPLED, and ``per_trial`` a tuple of the per-trial values.  In
+    sampled mode the per-trial uric values are lower bounds on the
     exhaustive extreme and the lric values upper bounds (max/min over a
     subset of supports).
     """
 
-    quantity: str  # "uric" | "lric"
-    mean: float
-    stddev: float
-    trials: int
-    mode: str  # MODE_EXHAUSTIVE | MODE_SAMPLED
-    supports_per_trial: int
-    per_trial: tuple[float, ...]
+    __slots__ = ()
 
 
 def sample_matrix(m: int, n: int, seed: int, trial: int = 0) -> GaussianMatrix:

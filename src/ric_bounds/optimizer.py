@@ -45,9 +45,11 @@ Two levels:
   Continuation Methods): (log delta, log nu) is interpolated linearly in
   log c3 between the two converged optima that bracket the new c3, or
   extrapolated from the two nearest on one side; with one converged
-  optimum it is copied, and with none the solve starts cold.  Only the
-  start moves: a converged solve from a predicted start ends within about
-  inner_tol of min K, as a cold one does.
+  optimum it is copied, and with none the solve starts cold.  The solve
+  at c3 = 4 hi starts from the c3 -> inf optimum instead, which lies
+  nearer than a prediction extrapolated from optima far below it.  Only
+  the start moves: a converged solve from a predicted start ends within
+  about inner_tol of min K, as a cold one does.
 
 Everything is deterministic: start points fixed by the inputs and the
 visit order of the outer search, no randomized restarts, and ties
@@ -62,7 +64,7 @@ import bisect
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds_lifted import (
     LiftedParams,
@@ -113,8 +115,8 @@ _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "multistart_grid",
+                                                     "c3_bracket", "max_evals"))):
     """Search tolerances and budgets.
 
     inner_tol: a Newton run of the inner solve has converged once the
@@ -140,28 +142,28 @@ class OptimizerConfig:
         non-converged.
     """
 
-    inner_tol: float = 1e-10
-    outer_tol: float = 1e-6
-    multistart_grid: int = 1
-    c3_bracket: tuple[float, float] = (1e-4, 64.0)
-    max_evals: int = 20000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.inner_tol > 0.0 and self.outer_tol > 0.0):
+    def __new__(cls, inner_tol: float = 1e-10, outer_tol: float = 1e-6, multistart_grid: int = 1,
+                c3_bracket: tuple[float, float] = (1e-4, 64.0),
+                max_evals: int = 20000) -> OptimizerConfig:
+        self = super().__new__(cls, inner_tol, outer_tol, multistart_grid, c3_bracket, max_evals)
+        if not (inner_tol > 0.0 and outer_tol > 0.0):
             raise ValueError(f"tolerances must be positive, got {self}")
-        lo, hi = self.c3_bracket
+        lo, hi = c3_bracket
         if not _C3_FLOOR <= lo < hi <= _C3_CEILING:
             raise ValueError(f"c3 bracket must satisfy {_C3_FLOOR:.3g} <= lo < hi <= "
-                             f"{_C3_CEILING:.3g}, got {self.c3_bracket}")
-        if self.multistart_grid < 1 or self.max_evals < 1:
+                             f"{_C3_CEILING:.3g}, got {c3_bracket}")
+        if multistart_grid < 1 or max_evals < 1:
             raise ValueError(f"grid count and budget must be positive, got {self}")
+        return self
 
 
 DEFAULT_CONFIG = OptimizerConfig()
 
 
-@dataclass(frozen=True)
-class OptimReport:
+class OptimReport(namedtuple("OptimReport", ("best_params", "best_value", "evaluations",
+                                             "converged", "restarts_used", "slope"))):
     """Outcome of one inner solve: best point, bookkeeping, convergence.
 
     ``best_value`` is the lowest K = J - c3/2 found, at ``best_params``,
@@ -170,12 +172,7 @@ class OptimReport:
     converged optimum it is the slope of min K in c3.
     """
 
-    best_params: LiftedParams
-    best_value: float
-    evaluations: int
-    converged: bool
-    restarts_used: int
-    slope: float
+    __slots__ = ()
 
 
 # No solve calls this; it stays while perfbench/tracer.py hooks it and
@@ -328,8 +325,8 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     """Minimize K = J - c3/2 over delta = gamma - c3/2 > 0, nu >= 0.
 
     Damped Newton from the (delta, nu) starts of :func:`_newton_starts`:
-    ``start`` when given (the outer search passes its predictor step
-    here), the analytic c3 -> 0 optimum, then the c3 -> inf optimum.  A
+    ``start`` when given (the outer search passes its predictor step, or
+    at c3 = 4 hi the c3 -> inf optimum), the analytic c3 -> 0 optimum, then the c3 -> inf optimum.  A
     start with delta <= 0 or nu <= 0, or whose 2 nu gamma overflows, is
     skipped without an evaluation.  The next start runs only while every
     run so far has ended non-converged with budget left, and the lowest K
@@ -462,14 +459,15 @@ def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None,
     """The (delta, nu) starts of the Newton inner solve, in order: a given
     start, the c3 -> 0 optimum, the c3 -> inf optimum, then for grid >= 2
     the points of the grid x grid log grid, by delta and then nu.  All but
-    the c3 -> 0 start are skipped unless they pass :func:`_evaluable`.
-    Lazy, so a start that is not needed costs nothing."""
+    the c3 -> 0 start are skipped unless they pass :func:`_evaluable`, and
+    the c3 -> inf optimum also when it is the given start, whose run it
+    would repeat.  Lazy, so a start that is not needed costs nothing."""
     if start is not None and _evaluable(c3, *start):
         yield start
     g0, threshold_sq = _limit_seed(beta)
     yield g0, threshold_sq / (2.0 * c3 + 4.0 * g0)  # 4 gamma nu = threshold^2
     seed = _asymptotic_seed(c3, beta)
-    if _evaluable(c3, *seed):
+    if seed != start and _evaluable(c3, *seed):
         yield seed
     if grid >= 2:
         points = _seed_grid(grid)
@@ -519,7 +517,8 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
         report = solves.get(c3)
         if report is None:
             t = math.log(c3)
-            report = solves[c3] = minimize_inner(c3, beta, cfg, start=_predict_start(optima, t))
+            start = _asymptotic_seed(c3, beta) if c3 == 4.0 * hi else _predict_start(optima, t)
+            report = solves[c3] = minimize_inner(c3, beta, cfg, start=start)
             if report.converged:
                 p = report.best_params
                 bisect.insort(optima, (t, math.log(p.delta), math.log(p.nu)))

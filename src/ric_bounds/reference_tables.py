@@ -13,8 +13,13 @@ over alpha in {0.1, 0.3, 0.5, 0.7, 0.9} and rho = beta/alpha in
 * table 7: optimized lower bounds xi_lric_l_lift with their triples.
 
 The asset is a plain CSV (one record per line,
-``table_id,alpha,rho,quantity,value``) compiled into the wheel; the
-loader asserts the exact cell counts so a corrupted asset fails fast.
+``table_id,alpha,rho,quantity,value``, no quoting) compiled into the
+wheel.  The loader reads it with ``open`` from the package directory
+and splits each line on commas, so the import needs neither ``csv`` nor
+``importlib.resources``, and a package imported from a zip archive
+cannot load it.  It asserts the field count, the quantity names, unique
+cells and the exact cell counts, so a corrupted asset fails fast.
+Entries are immutable named tuples.
 The BT quantities relate to the U/L constants of that construction via
 U = xi^2 - 1 and L = 1 - xi^2 (see :func:`bt_relation`).
 
@@ -28,10 +33,9 @@ printed -0.670 is a truncation and -0.671 is the correctly rounded entry.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 
 QUANTITIES = (
     "xi_uric_BT",
@@ -68,15 +72,11 @@ _EXPECTED_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class ReferenceEntry:
+class ReferenceEntry(namedtuple("ReferenceEntry", ("table_id", "alpha", "rho", "quantity",
+                                                   "value"))):
     """One table cell: (table_id, alpha, rho) -> quantity value."""
 
-    table_id: int
-    alpha: float
-    rho: float
-    quantity: str
-    value: float
+    __slots__ = ()
 
 
 def _key(table_id: int, alpha: float, rho: float, quantity: str):
@@ -87,13 +87,15 @@ def _key(table_id: int, alpha: float, rho: float, quantity: str):
 
 @lru_cache(maxsize=1)
 def _load() -> tuple[tuple[ReferenceEntry, ...], dict]:
-    text = resources.files(__package__).joinpath("data/tables.csv").read_text(encoding="ascii")
+    path = os.path.join(os.path.dirname(__file__), "data", "tables.csv")
+    with open(path, encoding="ascii") as asset:
+        lines = asset.read().splitlines()
     entries = []
     index = {}
-    for row in csv.reader(text.splitlines()):
-        if not row:
+    for line in lines:
+        if not line:
             continue
-        table_id, alpha, rho, quantity, value = row
+        table_id, alpha, rho, quantity, value = line.split(",")
         entry = ReferenceEntry(
             table_id=int(table_id),
             alpha=float(alpha),

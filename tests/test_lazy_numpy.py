@@ -2,8 +2,11 @@
 
 The bounds are scalar Python; only the empirical oracle uses numpy, and
 ``import ric_bounds`` loads it on first use of an empirical name.  The
-pytest process has numpy loaded already, so each check on sys.modules
-runs in a fresh isolated interpreter.
+bounds path also keeps off the stdlib modules that cost most of a cold
+start (``dataclasses`` with ``inspect``, ``typing``,
+``importlib.resources``, ``csv``).  The pytest process has all of these
+loaded already, so each check on sys.modules runs in a fresh isolated
+interpreter.
 """
 
 import json
@@ -18,13 +21,15 @@ import ric_bounds
 SRC = str(Path(ric_bounds.__file__).resolve().parents[1])
 
 # Runs `statement` in a fresh interpreter with the cli's stdout discarded,
-# then prints whether numpy was imported.
+# then prints whether numpy was imported and the modules that the
+# statement loaded, beyond those the interpreter had before it.
 PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     exec(sys.argv[2])
-print(json.dumps("numpy" in sys.modules))
+print(json.dumps(["numpy" in sys.modules, sorted(set(sys.modules) - before)]))
 """
 
 BOUND = ["bound", "--kind", "upper-lifted", "--alpha", "0.5", "--rho", "0.3"]
@@ -32,11 +37,20 @@ SWEEP = ["sweep", "--alphas", "0.5", "--rhos", "0.3"]
 EMPIRICAL = ["empirical", "--m", "5", "--n", "8", "--k", "2", "--trials", "1"]
 
 
-def numpy_loaded_after(statement: str) -> bool:
-    proc = subprocess.run([sys.executable, "-I", "-c", PROBE, SRC, statement],
+# Stdlib modules the bounds path does not load.  Under -I the site
+# module may load some of them before the statement runs; -S loads none.
+STDLIB_KEPT_OFF = ("dataclasses", "inspect", "typing", "importlib.resources", "csv")
+
+
+def probe(statement: str, flags: tuple[str, ...] = ("-I",)) -> tuple[bool, list[str]]:
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, SRC, statement],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return tuple(json.loads(proc.stdout))
+
+
+def numpy_loaded_after(statement: str) -> bool:
+    return probe(statement)[0]
 
 
 @pytest.mark.parametrize("statement", [
@@ -47,6 +61,18 @@ def numpy_loaded_after(statement: str) -> bool:
 ], ids=["import", "import-cli", "bound", "sweep"])
 def test_bounds_path_leaves_numpy_unloaded(statement):
     assert numpy_loaded_after(statement) is False
+
+
+@pytest.mark.parametrize("flags", [("-I",), ("-I", "-S")], ids=["site", "no-site"])
+@pytest.mark.parametrize("statement", [
+    "import ric_bounds; from ric_bounds import reference_tables; reference_tables.entries()",
+    f"from ric_bounds import cli; assert cli.main({BOUND!r}) == 0",
+    f"from ric_bounds import cli; assert cli.main({SWEEP!r}) == 0",
+], ids=["import-and-tables", "bound", "sweep"])
+def test_bounds_path_keeps_heavy_stdlib_unloaded(statement, flags):
+    _numpy, new_modules = probe(statement, flags)
+    assert "ric_bounds" in new_modules
+    assert [name for name in STDLIB_KEPT_OFF if name in new_modules] == []
 
 
 def test_empirical_usage_error_leaves_numpy_unloaded():

@@ -118,6 +118,12 @@ class TestMinimizeInner:
         assert 1 < capped.restarts_used < 18
         assert capped.evaluations == cfg.max_evals
 
+    def test_asymptotic_start_given_is_not_run_twice(self):
+        seed = optimizer._asymptotic_seed(256.0, 0.3)
+        starts = list(optimizer._newton_starts(256.0, 0.3, seed))
+        assert starts[0] == seed and starts.count(seed) == 1 and len(starts) == 2
+        assert sorted(optimizer._newton_starts(256.0, 0.3, None)) == sorted(starts)
+
     @pytest.mark.parametrize("max_evals", [7, 40])
     def test_budget_floor_of_three_per_start(self, max_evals):
         """Below 3 evaluations per start the budget still binds: multistart
@@ -404,6 +410,39 @@ class TestPredictedStartsAlongC3:
         warm_evals = sum(w[3] for w in warm)
         assert warm_evals < sum(c[3] for c in cold)
         assert warm_evals <= 3300
+
+    def test_default_grid_evaluation_total(self):
+        """The 60 lifted cells of the default grid cost at most 2,404
+        evaluations in all, the count once the far end of each search
+        starts from the c3 -> inf optimum (2,696 before)."""
+        total = 0
+        for alpha in DEFAULT_ALPHAS:
+            for rho in DEFAULT_RHOS:
+                shape = ProblemShape.from_rho(alpha, rho)
+                total += optimize_upper(shape).evaluations + optimize_lower(shape).evaluations
+        assert total <= 2404
+
+    def test_far_end_starts_from_the_asymptotic_optimum(self, monkeypatch):
+        """The solve at c3 = 4 hi starts from the c3 -> inf optimum, not from
+        a prediction extrapolated from optima far below it, and converges
+        from that first start on every default cell whose search gets there."""
+        far = []
+        inner = optimizer.minimize_inner
+        end = 4.0 * OptimizerConfig().c3_bracket[1]
+
+        def recorded(c3, beta, config=None, *, start=None):
+            report = inner(c3, beta, config, start=start)
+            if c3 == end:
+                far.append((start == optimizer._asymptotic_seed(c3, beta), report.converged,
+                            report.restarts_used))
+            return report
+
+        monkeypatch.setattr(optimizer, "minimize_inner", recorded)
+        for alpha in DEFAULT_ALPHAS:
+            for rho in DEFAULT_RHOS:
+                optimize_lower(ProblemShape.from_rho(alpha, rho))
+        assert len(far) >= len(TestEdgeBehavior.EDGE_CELLS)
+        assert set(far) == {(True, True, 1)}
 
     def test_prediction_interpolates_in_log_space(self):
         optima = [(0.0, math.log(2.0), math.log(8.0)), (2.0, math.log(8.0), math.log(2.0))]
