@@ -43,7 +43,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .bounds_simple import ProblemShape, _check_beta
+from .bounds_simple import _check_beta
 from .specfun import erfcx
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -105,12 +105,14 @@ def gamma_hat(c3: float, alpha: float, branch: SphBranch) -> float:
 
 
 def _log_sph_argument(c3: float, alpha: float, gh: float) -> float:
-    """log(1 - x), x = c3/(2 ghat).  Where x > 1/2, which happens only on
-    the PLUS branch, 1 - x = alpha/(4 ghat^2) by 2 ghat (2 ghat - c3) = alpha
-    gives it without cancellation; 1 - x itself rounds to 0 from c3 ~ 7e8."""
+    """log(1 - x), x = c3/(2 ghat), from 1 - x = alpha/(4 ghat^2) (by
+    2 ghat (2 ghat - c3) = alpha) where x > 1/2, which happens only on the
+    PLUS branch and where 1 - x cancels (it rounds to 0 from c3 ~ 7e8), and
+    where x < -2^52 on the MINUS branch, where x ~ -c3^2/alpha overflows as
+    c3 nears the bracket ceiling and 1 is lost next to it anyway."""
     ratio = c3 / (2.0 * gh)
-    if ratio > 0.5:
-        return math.log(alpha) - 2.0 * math.log(2.0 * gh)
+    if ratio > 0.5 or ratio < -4503599627370496.0:  # -2^52
+        return math.log(alpha) - 2.0 * math.log(abs(2.0 * gh))
     return math.log1p(-ratio)
 
 
@@ -125,18 +127,19 @@ def i_sph(c3: float, alpha: float, branch: SphBranch) -> float:
     return gh - (alpha / (2.0 * c3)) * _log_sph_argument(c3, alpha, gh)
 
 
-def i_sph_slope(c3: float, alpha: float, branch: SphBranch) -> float:
-    """Slope in c3 of :func:`i_sph`, ((alpha/(2 c3)) log(1 - c3/(2 ghat)) + ghat)/c3.
-
-    ghat is stationary, so only the explicit c3 terms count (the envelope
-    theorem).  The term ghat/c3 is alpha/(2 c3 (2 ghat - c3)) rewritten
-    with 2 ghat (2 ghat - c3) = alpha, which does not cancel on the PLUS
-    branch as c3 grows.  As c3 -> 0 the slope tends to 1/4 as a difference
-    of terms of size ghat/c3, so its rounding error grows like eps/c3
-    (see ``optimizer._C3_FLOOR``).
+def i_sph_derivatives(c3: float, alpha: float, branch: SphBranch) -> tuple[float, float, float]:
+    """(I, I', I'') in c3 from one ghat and one log, I = :func:`i_sph` bit
+    for bit.  ghat is stationary, so I' = (H + ghat)/c3 with H the log
+    term (alpha/(2 c3)) log(1 - c3/(2 ghat)); ghat' = ghat/(4 ghat - c3)
+    and 1 - c3/(2 ghat) = alpha/(4 ghat^2), both from
+    2 ghat (2 ghat - c3) = alpha, give I'' = -2 (alpha/(4 ghat - c3) + H)/c3^2.
+    As c3 -> 0, I' -> 1/4 from terms of size ghat/c3, so its rounding
+    error grows like eps/c3 and that of I'' like eps/c3^2 (see
+    ``optimizer._C3_FLOOR``); c3 I' and c3^2 I'' stay within about eps.
     """
     gh = gamma_hat(c3, alpha, branch)
-    return ((alpha / (2.0 * c3)) * _log_sph_argument(c3, alpha, gh) + gh) / c3
+    half = (alpha / (2.0 * c3)) * _log_sph_argument(c3, alpha, gh)
+    return gh - half, (half + gh) / c3, -2.0 * (alpha / (4.0 * gh - c3) + half) / (c3 * c3)
 
 
 def _scaled_excess(two_p: float, root: float, s: float, z2: float,
@@ -202,7 +205,7 @@ def big_i_uric(params: LiftedParams) -> float:
     return 1.0 + _moment(params.c3, params.delta, params.nu)[0]
 
 
-def _inner_k(c3: float, beta: float, delta: float, nu: float, derivatives: bool):
+def _inner_k(c3: float, beta: float, delta: float, nu: float, derivatives: int):
     """K, or K with its derivatives, at delta; see :func:`i_uric_inner`."""
     if not c3 > 0.0:
         raise ValueError(f"i_uric_inner requires c3 > 0, got {c3!r}")
@@ -231,12 +234,19 @@ def _inner_k(c3: float, beta: float, delta: float, nu: float, derivatives: bool)
         c3 * u * rest + 2.0 * fb / two_gamma,
         c3 * t * rest + fb / nu,
     )
-    slope = (delta * u - nu * t - log_m / c3) / c3
-    return value, grad, hess, slope
+    l_c = delta * u - nu * t  # d log(M)/dc3
+    slope = (l_c - log_m / c3) / c3
+    if derivatives == 1:
+        return value, grad, hess, slope
+    gamma = 0.5 * two_gamma
+    l_cc = (delta * delta * (q - u * u) - delta * u / gamma + nu * rest * (nu * t - 2.0 * delta * u)
+            + c3 * nu * fb / (two_gamma * two_gamma))
+    k_cd = u / gamma + nu * u * rest + delta * (u * u - q) + 2.0 * nu * fb / (two_gamma * two_gamma)
+    return value, grad, hess, slope, ((l_cc - 2.0 * slope) / c3, k_cd, fb / two_gamma - rest * l_c)
 
 
 def i_uric_inner(c3: float, beta: float, gamma: float | None, nu: float, *,
-                 derivatives: bool = False, delta: float | None = None):
+                 derivatives: int = 0, delta: float | None = None):
     """Inner objective J = nu*beta + gamma + log(M)/c3 for feasible (gamma, nu);
     given ``delta`` = gamma - c3/2 in place of gamma (pass gamma as None),
     K = J - c3/2 = nu*beta + delta + log(M)/c3, the form the solvers use.
@@ -245,7 +255,7 @@ def i_uric_inner(c3: float, beta: float, gamma: float | None, nu: float, *,
     linear form over a symmetric set leaves the moment unchanged).  J is
     K at delta = gamma - c3/2, plus c3/2.
 
-    With ``derivatives=True`` returns ``(K, (K_delta, K_nu), (K_dd, K_dn,
+    With ``derivatives=True`` (or 1) returns ``(K, (K_delta, K_nu), (K_dd, K_dn,
     K_nn), K_c)``, or J first in the gamma form, from the same two erfcx
     calls; K's derivatives in (delta, nu) are J's in (gamma, nu).  With
     b = 2 sqrt(gamma nu) the clipping threshold, they come from the tilted
@@ -265,16 +275,29 @@ def i_uric_inner(c3: float, beta: float, gamma: float | None, nu: float, *,
 
         K_c = (delta u - nu t - log(M)/c3)/c3,  u = 1 - K_delta,  t = beta - K_nu,
 
-    since d log(M)/dc3 = gamma u - nu t.  At the inner optimum it is the
+    since d log(M)/dc3 = delta u - nu t.  At the inner optimum it is the
     slope of min K in c3 (the envelope theorem).
+
+    With ``derivatives=2`` a fifth item follows, K's c3 row
+    ``(K_cc, K_c,delta, K_c,nu)`` at fixed (delta, nu).  Differentiating
+    under M's integral (the clipped exponent f is 0 at |h| = b, so only
+    second derivatives gain a boundary term, 2 phi(b) f_x f_y/f_h at
+    h = b) gives, with q = Q/(16 gamma^4 M), fb = phi(b) b/M, L = log(M),
+
+        L_cc = delta^2 (q - u^2) - delta u/gamma + nu (1 - t)(nu t - 2 delta u)
+               + c3 nu fb/(4 gamma^2),         K_cc = (L_cc - 2 K_c)/c3,
+        K_c,delta = u/gamma + nu u (1 - t) + delta (u^2 - q) + nu fb/(2 gamma^2),
+        K_c,nu = fb/(2 gamma) - (1 - t)(delta u - nu t).
+
+    As c3 -> 0, K_cc's rounding error grows like eps/c3^2; c3^2 K_cc's
+    stays within about eps.
     """
     if delta is not None:
         return _inner_k(c3, beta, delta, nu, derivatives)
     result = _inner_k(c3, beta, gamma - 0.5 * c3, nu, derivatives)
     if not derivatives:
         return result + 0.5 * c3
-    value, grad, hess, slope = result
-    return value + 0.5 * c3, grad, hess, slope
+    return (result[0] + 0.5 * c3, *result[1:])
 
 
 def signed_value(c3: float, alpha: float, k_value: float, branch: SphBranch) -> float:
@@ -282,12 +305,3 @@ def signed_value(c3: float, alpha: float, k_value: float, branch: SphBranch) -> 
     the PLUS branch, and minus the lower objective on the MINUS branch."""
     return (k_value + i_sph(c3, alpha, branch)) / math.sqrt(alpha)
 
-
-def upper_value_from_inner(c3: float, shape: ProblemShape, inner_value: float) -> float:
-    """Assemble the upper objective from an already-minimized inner value J."""
-    return signed_value(c3, shape.alpha, inner_value - 0.5 * c3, SphBranch.PLUS)
-
-
-def lower_value_from_inner(c3: float, shape: ProblemShape, inner_value: float) -> float:
-    """Assemble the lower objective from an already-minimized inner value J."""
-    return -signed_value(c3, shape.alpha, inner_value - 0.5 * c3, SphBranch.MINUS)

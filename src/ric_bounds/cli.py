@@ -3,7 +3,8 @@
 Three subcommands:
 
 * ``bound``: one bound at one shape, printing the value, the achieving
-  (c3, gamma, nu) for the lifted kinds, and a convergence flag.
+  (c3, gamma, nu) for the lifted kinds, and a convergence flag.  JSON rows
+  of both commands also carry ``inner_delta``, the exact gamma - c3/2.
 * ``sweep``: a grid of (alpha, rho, kind) cells rendered as CSV or JSON
   with reference values and deltas where the embedded tables carry the
   cell.  Row order is deterministic: alpha major, rho minor, kind last.
@@ -101,18 +102,18 @@ def _compute_bound(kind: str, shape: ProblemShape, config: OptimizerConfig) -> B
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = OptimizerConfig()
     parser.add_argument("--inner-tol", type=float, default=defaults.inner_tol,
-                        help="inner stop: Newton decrement bound on J - min J")
+                        help="stop: Newton decrement bound on V - min V, relative to "
+                             "the scale of V's terms where that is below 1")
     parser.add_argument("--outer-tol", type=float, default=defaults.outer_tol,
-                        help="width in log c3 (a relative width in c3) at which the "
-                             "c3 search stops")
+                        help="largest Newton step in log c3 (a relative change of c3) "
+                             "with which the solve stops")
     parser.add_argument("--multistart", type=int, default=defaults.multistart_grid,
-                        help="inner start points per axis: 1 runs damped Newton until a "
-                             "start converges, N >= 2 runs it from the analytic starts "
-                             "and an N x N log grid and keeps the lowest J")
+                        help="1 solves once from a fixed c3; N >= 2 also solves from N "
+                             "c3 log-spaced over [c3-min, c3-max] and keeps the best")
     parser.add_argument("--c3-min", type=float, default=defaults.c3_bracket[0])
     parser.add_argument("--c3-max", type=float, default=defaults.c3_bracket[1])
     parser.add_argument("--max-evals", type=int, default=defaults.max_evals,
-                        help="cap on objective evaluations per inner solve")
+                        help="cap on objective evaluations per lifted bound")
 
 
 def _usage_error(exc: ValueError) -> int:
@@ -173,11 +174,13 @@ def _row_dict(alpha: float, rho: float, kind: str, result: BoundResult | None,
         "converged": False if result is None else result.converged,
         "reference": reference,
         "delta": None,
+        "inner_delta": None,
     }
     if result is not None and result.params is not None:
         row["c3"] = result.params.c3
         row["gamma"] = result.params.gamma
         row["nu"] = result.params.nu
+        row["inner_delta"] = result.params.delta
     if result is not None and reference is not None:
         row["delta"] = result.value - reference
     if error is not None:

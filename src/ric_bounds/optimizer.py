@@ -1,66 +1,40 @@
-"""Nested optimization of the lifted bound objectives.
+"""Optimization of the lifted bound objectives.
 
-Two levels:
+Both families minimize V = K + I_sph over c3 and the dual pair
+(delta, nu), with I_sph's PLUS branch for the upper family and its MINUS
+branch for the lower one: upper = min V/sqrt(alpha), lower =
+-min V/sqrt(alpha).  K = J - c3/2 = nu beta + delta + log(M)/c3 is the
+paper's J without c3/2, which would swamp delta ~ beta/(2 c3) at large
+c3; at fixed c3 it is jointly convex in (delta, nu).
 
-* inner: minimize K = J - c3/2 = nu beta + delta + log(M)/c3 over
-  delta = gamma - c3/2 > 0 and nu >= 0 (:func:`minimize_inner`).  K is
-  the paper's J without the constant c3/2, which would swamp
-  delta ~ beta/(2 c3) at large c3.  It is jointly convex (a log-partition
-  of functions convex in (delta, nu)) with an interior minimum: at
-  nu = 0, dK/dnu = beta - 1 < 0, and K -> +inf as delta -> 0, as
-  delta -> inf and as nu -> inf.  Damped Newton (:func:`_newton_inner`)
-  runs on the closed-form gradient and Hessian that one delta-form call
-  of ``i_uric_inner`` returns from two erfcx calls.  It starts at the
-  analytic c3 -> 0 optimum and, if that run ends non-converged with
-  budget left, at the c3 -> inf optimum, which takes over far out in c3,
-  where e^{-2 nu gamma} underflows at the first start and K has no
-  curvature.  A caller's ``start`` runs first; multistart_grid = N >= 2
-  runs every start, an N x N log grid in (delta, nu) too, and keeps the
-  lowest K.
+* joint solve (:func:`optimize_upper`, :func:`optimize_lower`): one
+  projected damped Newton run per cell in (t = log c3, delta, nu), t
+  bounded to [log(lo/4), log(4 hi)] for the bracket (lo, hi) (Bertsekas,
+  SIAM J. Control Optim. 20, 1982), on the closed-form derivatives of one
+  ``i_uric_inner`` and one ``i_sph_derivatives`` call.  Eliminating
+  (delta, nu) leaves the Schur complement, the exact curvature in t of
+  min over (delta, nu) of V (Boyd & Vandenberghe, Convex Optimization,
+  A.5.5), so the run converges quadratically in all three variables.  A
+  bound on t that stays active with the slope pointing outward ends the
+  run; at the upper end the result, at c3 = 4 hi exactly, is
+  non-converged.  The c3 -> 0 limit (the simple bound) is always a
+  candidate, so no value is worse than the simple bound, and a run that
+  ends at the lower end is non-convergence unless that limit wins.
 
-* outer: one bracketed root search over t = log c3 on [log(lo/4),
-  log(4 hi)], where (lo, hi) is the configured bracket, on the slope of
-  the objective.  The upper bound is minimized over c3 and the lower
-  bound maximized; both signed objectives are V = (min K + I_sph)/sqrt(alpha),
-  and by the envelope theorem (Bonnans & Shapiro,
-  Perturbation Analysis of Optimization Problems, ch. 4)
-  dV/dc3 = (K_c + dI_sph/dc3)/sqrt(alpha), where K_c is the slope of K at
-  the inner optimum that Newton's last evaluation already returns
-  (``OptimReport.slope``).  dV/dc3 has the sign and the roots of
-  dV/dt = c3 dV/dc3, and it is nearer linear in t at small c3, where the
-  upper optima lie, so the search interpolates it rather than dV/dt.
-  From t = log(lo/4) + 0.382 (log(4 hi) - log(lo/4)) the search takes a
-  golden step downhill, then steps onto the downhill end, until the
-  slope changes sign; Brent's zeroin then finds the root to outer_tol in
-  log c3.  A downhill end whose slope still points outward ends the
-  search there: at the upper end, 4 hi is the candidate and the result
-  is reported as non-converged.  The c3 -> 0 closed-form limit
-  (the simple bound) is always included as a candidate, so the returned
-  value can never be worse than the simple bound; a search that ends at
-  the lower end is non-convergence unless that limit wins.  The limit is
-  never evaluated at c3 = 0 itself, which is a removable singularity of
-  the objective.
-  Each inner solve after the first starts from a predictor step along the
-  optima already found (continuation, as in Allgower & Georg, Numerical
-  Continuation Methods): (log delta, log nu) is interpolated linearly in
-  log c3 between the two converged optima that bracket the new c3, or
-  extrapolated from the two nearest on one side; with one converged
-  optimum it is copied, and with none the solve starts cold.  The solve
-  at c3 = 4 hi starts from the c3 -> inf optimum instead, which lies
-  nearer than a prediction extrapolated from optima far below it.  Only
-  the start moves: a converged solve from a predicted start ends within
-  about inner_tol of min K, as a cold one does.
+* inner solve at a fixed c3 (:func:`minimize_inner`, used by
+  :func:`lifted_upper_objective` and :func:`lifted_lower_objective`):
+  damped Newton (:func:`_newton_inner`) in (delta, nu) from the analytic
+  c3 -> 0 optimum and then, if that run ends non-converged with budget
+  left, from the c3 -> inf optimum.
 
-Everything is deterministic: start points fixed by the inputs and the
-visit order of the outer search, no randomized restarts, and ties
-between equal-valued optima resolve to the smallest c3.  An
-inexact inner solve only raises K, which loosens both families, so every
-reported value is a valid bound.
+Everything is deterministic: start points fixed by the inputs, no
+randomized restarts, and ties between equal-valued optima resolve to the
+smallest c3.  An inexact solve only raises K, which loosens both
+families, so every reported value is a valid bound.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import sys
@@ -69,7 +43,7 @@ from collections import namedtuple
 from .bounds_lifted import (
     LiftedParams,
     SphBranch,
-    i_sph_slope,
+    i_sph_derivatives,
     i_uric_inner,
     signed_value,
 )
@@ -84,21 +58,19 @@ from .bounds_simple import (
     tail_term,
 )
 
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = math.ulp(1.0)
-_LOG_MAX = math.log(sys.float_info.max)
 
-# Smallest lower end of the c3 bracket.  The outer search evaluates the
+# Smallest lower end of the c3 bracket.  The joint solve evaluates the
 # slope down to c3 = lo/4.  There K_c and dI_sph/dc3 each come from terms
 # of size about 1/c3 that cancel to limits of size about 1/4
 # (dI_sph/dc3 -> 1/4, K_c -> -0.46 .. -0.25 over the beta domain), so
 # each carries an absolute rounding error of up to about 2 eps/c3
 # (checked against mpmath down to this floor).  lo/4 >= 16 eps keeps it
 # under 1/8, half those limits, so the slope keeps its leading bit; below
-# that, the search follows rounding noise.
+# that, the solve follows rounding noise.
 _C3_FLOOR = 64.0 * _EPS
 
-# Largest upper end of the c3 bracket.  The outer search evaluates up to
+# Largest upper end of the c3 bracket.  The joint solve evaluates up to
 # c3 = 4 hi, and gamma_hat forms 4 c3^2, which overflows once c3 exceeds
 # sqrt(float max)/2; so hi is at most sqrt(float max)/8, about 1.68e153.
 _C3_CEILING = math.sqrt(sys.float_info.max) / 8.0
@@ -114,32 +86,39 @@ _TO_BOUNDARY = 0.99
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 
+# Joint solve: the largest step in log c3 (a factor e^2 in c3), and the
+# c3 each family starts from (upper, lower), inside the range of the
+# default grid's optima (upper 0.005-0.44, lower 0.46-124).
+_T_STEP = 2.0
+_START_C3 = {True: 0.2, False: 5.0}
+
 
 class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "multistart_grid",
                                                      "c3_bracket", "max_evals"))):
     """Search tolerances and budgets.
 
-    inner_tol: a Newton run of the inner solve has converged once the
-        Newton decrement satisfies lambda^2/2 <= inner_tol, a second-order
-        bound on K - min K, and then takes that last Newton step as well.
-    outer_tol: width in log c3, so a relative width in c3, of the bracket
-        around the root of the objective's slope at which the outer search
-        stops.
-    multistart_grid: 1 (the default) runs Newton from the outer search's
-        predicted start, then the analytic optima, until a run converges;
-        N >= 2 runs it from the analytic optima and then every point of an
-        N x N log grid in (delta, nu), ignores the predicted start, and
-        keeps the lowest K.
-    c3_bracket: (lo, hi) for c3; the outer search runs on the bracket
+    inner_tol: the joint solve has converged once the Newton decrement
+        satisfies lambda^2/2 <= inner_tol min(1, S), a second-order bound
+        on V - min V relative to S = K + |I_sph|, the scale of V's terms;
+        :func:`minimize_inner` asks lambda^2/2 <= inner_tol of K.  Both
+        then take that last Newton step as well.
+    outer_tol: the largest Newton step in t = log c3, so a relative
+        change of c3, with which the joint solve may stop.
+    multistart_grid: 1 (the default) runs the joint solve once, from a
+        fixed c3 per family; N >= 2 also runs it from N values of c3
+        log-spaced over [lo, hi], ends included, and keeps the lowest V.
+        :func:`minimize_inner` with N >= 2 also runs Newton from an
+        N x N log grid in (delta, nu) and keeps the lowest K.
+    c3_bracket: (lo, hi) for c3; the joint solve runs on the bracket
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
         where the objective's slope still points outward.  lo must be at
         least 64 eps (about 1.4e-14), where the slope is still more than
         rounding noise, and hi at most sqrt(float max)/8 (about 1.68e153),
         where the spherical term is still finite at 4 hi.
-    max_evals: cap on the evaluations of K per inner solve, rejected
-        line-search trials included.  Each start runs with the budget the
-        earlier ones left, and a run that reaches the cap stops there,
-        non-converged.
+    max_evals: cap on the evaluations of K per cell (per solve in
+        :func:`minimize_inner`), rejected line-search trials included.
+        Each start runs on the budget the earlier ones left; a run that
+        reaches the cap stops there, non-converged.
     """
 
     __slots__ = ()
@@ -325,10 +304,10 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     """Minimize K = J - c3/2 over delta = gamma - c3/2 > 0, nu >= 0.
 
     Damped Newton from the (delta, nu) starts of :func:`_newton_starts`:
-    ``start`` when given (the outer search passes its predictor step, or
-    at c3 = 4 hi the c3 -> inf optimum), the analytic c3 -> 0 optimum, then the c3 -> inf optimum.  A
-    start with delta <= 0 or nu <= 0, or whose 2 nu gamma overflows, is
-    skipped without an evaluation.  The next start runs only while every
+    ``start`` when given (an estimate of the optimum, such as the optimum
+    at a nearby c3), the analytic c3 -> 0 optimum, then the c3 -> inf
+    optimum.  A start with delta <= 0 or nu <= 0, or whose 2 nu gamma
+    overflows, is skipped without an evaluation.  The next start runs only while every
     run so far has ended non-converged with budget left, and the lowest K
     is kept.  The convergence test is local, so ``start`` should estimate
     the optimum; from starts up to 1000x off in delta and nu a converged
@@ -365,84 +344,12 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     )
 
 
-def _slope_search(f, a, b, tol):
-    """Minimize over [a, b] a function f(x) -> (value, slope) by a bracketed
-    root search on its slope, which may be the derivative times any
-    positive factor.
-
-    From x = a + 0.382 (b - a) it steps downhill twice, a golden step
-    toward the downhill end and then onto that end, until the slope
-    changes sign; an end whose slope still points out of [a, b] ends the
-    search there.  Once the slope changes sign, Brent's zeroin
-    (Algorithms for Minimization without Derivatives, ch. 4) finds its
-    root to about tol in x.  Returns the best evaluated (value, x), ties
-    to the smaller x, and the end of [a, b] where the search stopped, or
-    None when it found a root.
-    """
-    x = a + _GOLDEN * (b - a)
-    fx, gx = f(x)
-    best = (fx, x)
-    if gx == 0.0:
-        return best, None
-    end = b if gx < 0.0 else a
-    for u in (x + _GOLDEN * (end - x), end):
-        fu, gu = f(u)
-        best = min(best, (fu, u))
-        if (gu > 0.0) != (gx > 0.0) or gu == 0.0:
-            return _zeroin(f, x, gx, u, gu, tol, best), None
-        x, gx = u, gu
-    return best, end
-
-
-def _zeroin(f, a, fa, b, fb, tol, best):
-    """Brent's zeroin on the slope of f over [a, b], where fa and fb differ
-    in sign, until the bracket is about tol wide; returns the best
-    evaluated (value, x), starting from ``best``."""
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return best
-        interpolated = False
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            # Accept the step only well inside the bracket and under half
-            # the step before last.
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-                interpolated = True
-        if not interpolated:  # bisection
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        value, fb = f(b)
-        best = min(best, (value, b))
-
-
 @functools.lru_cache(maxsize=256)
 def _limit_seed(beta: float) -> tuple[float, float]:
     """(g0, t^2) of the analytic c3 -> 0 optimum: g0 = tail_term(beta)/2 and
-    t = optimal_nu(beta).  Cached because every inner solve of one outer
-    solve shares beta, and the two erfinv calls cost about half as much
-    as a whole Newton inner solve."""
+    t = optimal_nu(beta).  Cached because the upper and lower solves of a
+    shape share beta, as do repeated inner solves, and the two erfinv
+    calls cost about half as much as a whole Newton inner solve."""
     threshold = optimal_nu(beta)
     return 0.5 * tail_term(beta), threshold * threshold
 
@@ -474,89 +381,158 @@ def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None,
         yield from ((d, n) for d in points for n in points if _evaluable(c3, d, n))
 
 
-def _predict_start(optima: list[tuple[float, float, float]],
-                   t: float) -> tuple[float, float] | None:
-    """Predicted (delta, nu) of the inner optimum at log c3 = t from the
-    converged optima so far, sorted by log c3: (log delta, log nu) is
-    linear in t through the two optima that bracket t, or else the two
-    nearest on one side.  One optimum is copied; with none, or where the
-    prediction overflows, there is no prediction."""
-    if not optima:
-        return None
-    if len(optima) == 1:
-        _t, log_delta, log_nu = optima[0]
-    else:
-        i = min(max(bisect.bisect(optima, (t,)), 1), len(optima) - 1)
-        (t0, d0, n0), (t1, d1, n1) = optima[i - 1], optima[i]
-        w = (t - t0) / (t1 - t0)
-        log_delta, log_nu = d0 + w * (d1 - d0), n0 + w * (n1 - n0)
-    if max(log_delta, log_nu) > _LOG_MAX:
-        return None
-    return math.exp(log_delta), math.exp(log_nu)
-
-
 def _limit_params(beta: float) -> LiftedParams:
     # Analytic optimum of the c3 -> 0 reparameterized objective.
     gamma, threshold_sq = _limit_seed(beta)
     return LiftedParams(c3=0.0, gamma=gamma, nu=threshold_sq / (4.0 * gamma))
 
 
+def _joint_point(c3: float, beta: float, alpha: float, branch: SphBranch, delta: float,
+                 nu: float):
+    """(V, S, resolution, K, gradient, Hessian) in (t = log c3, delta, nu)
+    from one i_uric_inner call.  The Hessian is (V_tt, V_td, V_tn, K_dd,
+    K_dn, K_nn).  S = K + |I_sph| sums the magnitudes of V's terms (K's are
+    positive, I_sph's share its sign), so it does not cancel where V does.
+    Each term carries a few ulps, but e^{-s}, s = 2 nu gamma, turns s's
+    error into s eps: |fl(V) - V| <= 2 (1 + s) eps S (at most
+    1.6 (1 + s) eps S at 2,500 random points checked in mpmath).  Twice
+    that, resolution is the least fall in V that two computed values show.
+    """
+    k, (k_d, k_n), (k_dd, k_dn, k_nn), k_c, (k_cc, k_cd, k_cn) = i_uric_inner(
+        c3, beta, None, nu, delta=delta, derivatives=2)
+    i, i_c, i_cc = i_sph_derivatives(c3, alpha, branch)
+    g_t = c3 * (k_c + i_c)
+    hess = (c3 * c3 * (k_cc + i_cc) + g_t, c3 * k_cd, c3 * k_cn, k_dd, k_dn, k_nn)
+    scale = k + abs(i)
+    resolution = 4.0 * _EPS * (1.0 + nu * (c3 + 2.0 * delta)) * scale
+    return k + i, scale, resolution, k, (g_t, k_d, k_n), hess
+
+
+def _joint_step(grad, hess, t: float, t_lo: float, t_hi: float):
+    """Projected Newton step (step_t, end_t, step_delta, step_nu,
+    decrement, slope), or None where the (delta, nu) block C has lost its
+    curvature to underflow.  With b the coupling of t to (delta, nu),
+    slope = g_t - b' C^{-1} g_y and s = H_tt - b' C^{-1} b.  step_t is
+    -slope/s where s > 0, else _T_STEP downhill, at most _T_STEP, and cut
+    to [t_lo, t_hi]; end_t is t + step_t, exactly the bound where cut to
+    it.  (delta, nu) takes the Newton step given step_t, so the decrement
+    -g'step = -slope step_t + g_y' C^{-1} g_y is positive off a
+    stationary point.
+    """
+    g_t, g_d, g_n = grad
+    h_tt, h_td, h_tn, h_dd, h_dn, h_nn = hess
+    det = h_dd * h_nn - h_dn * h_dn
+    if not (h_dd > 0.0 and det > 0.0):
+        return None
+    y_d, y_n = (h_nn * g_d - h_dn * g_n) / det, (h_dd * g_n - h_dn * g_d) / det
+    b_d, b_n = (h_nn * h_td - h_dn * h_tn) / det, (h_dd * h_tn - h_dn * h_td) / det
+    slope = g_t - h_td * y_d - h_tn * y_n
+    schur = h_tt - h_td * b_d - h_tn * b_n
+    step_t = -slope / schur if schur > 0.0 else -math.copysign(_T_STEP, slope)
+    step_t = min(max(step_t, -_T_STEP, t_lo - t), _T_STEP, t_hi - t)
+    end_t = t_hi if step_t == t_hi - t else t_lo if step_t == t_lo - t else t + step_t
+    step_d, step_n = -(y_d + b_d * step_t), -(y_n + b_n * step_t)
+    decrement = -(g_t * step_t + g_d * step_d + g_n * step_n)
+    return step_t, end_t, step_d, step_n, decrement, slope
+
+
+def _joint_newton(beta: float, alpha: float, branch: SphBranch, t: float,
+                  ends: dict[float, float], cfg: OptimizerConfig, max_evals: int):
+    """Projected damped Newton on V from t, within the keys of ``ends``,
+    which map the bounds on t to their exact c3.  Returns (V, c3, delta,
+    nu, K, evaluations, converged, edge), edge true where the run stopped
+    at a bound with the slope pointing out.  (delta, nu) starts at the
+    analytic optimum of the nearer limit (c3 -> 0 up to c3 = 1, else
+    c3 -> inf), and moves once to the other where K has no curvature
+    left.  The line search is :func:`_newton_inner`'s on :func:`_joint_step`.
+    The run has converged once lambda^2/2 <= max(inner_tol min(1, S),
+    resolution) (see :func:`_joint_point`), the nu step is below nu, and
+    the t step is at most outer_tol or lambda^2/2 at most resolution (where
+    V is flat in t no line search places c3 more finely); it then tries
+    that last step once more, without halving.
+    """
+    t_lo, t_hi = min(ends), max(ends)
+    c3 = ends.get(t) or math.exp(t)
+    seeds = list(_newton_starts(c3, beta, None))[::-1 if c3 > 1.0 else 1]
+    delta, nu = seeds.pop(0)
+    point = _joint_point(c3, beta, alpha, branch, delta, nu)
+    evals = 1
+    while True:
+        value, scale, resolution, k, grad, hess = point
+        step = _joint_step(grad, hess, t, t_lo, t_hi)
+        if step is None:
+            if not seeds or evals >= max_evals:
+                return value, c3, delta, nu, k, evals, False, False
+            delta, nu = seeds.pop(0)
+            point = _joint_point(c3, beta, alpha, branch, delta, nu)
+            evals += 1
+            continue
+        step_t, end_t, step_d, step_n, decrement, slope = step
+        edge = (t == t_hi and slope < 0.0) or (t == t_lo and slope > 0.0)
+        converged = (0.5 * decrement <= max(cfg.inner_tol * min(1.0, scale), resolution)
+                     and abs(step_n) < nu
+                     and (abs(step_t) <= cfg.outer_tol or 0.5 * decrement <= resolution))
+        a = 1.0
+        if step_d < 0.0:
+            a = min(a, -_TO_BOUNDARY * delta / step_d)
+        if step_n < 0.0:
+            a = min(a, -_TO_BOUNDARY * nu / step_n)
+        while True:
+            if evals >= max_evals or a < _MIN_STEP:
+                return value, c3, delta, nu, k, evals, converged, edge
+            trial_t = end_t if a == 1.0 else t + a * step_t
+            trial_c3 = ends.get(trial_t) or math.exp(trial_t)
+            trial_d, trial_n = delta + a * step_d, nu + a * step_n
+            if _evaluable(trial_c3, trial_d, trial_n):
+                trial = _joint_point(trial_c3, beta, alpha, branch, trial_d, trial_n)
+                evals += 1
+                if trial[0] < value and trial[0] <= value - _ARMIJO * a * decrement:
+                    break
+            if converged:
+                return value, c3, delta, nu, k, evals, True, edge
+            a *= 0.5
+        t, c3, delta, nu, point = trial_t, trial_c3, trial_d, trial_n, trial
+        if converged:
+            return trial[0], c3, delta, nu, trial[3], evals, True, edge
+
+
 def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> BoundResult:
-    """Shared outer search; the lower family is maximized by negation."""
+    """Joint solve of one cell; the lower family is maximized by negation."""
     upper = kind == KIND_UPPER_LIFTED
     beta, alpha = shape.beta, shape.alpha
     branch = SphBranch.PLUS if upper else SphBranch.MINUS
-    solves: dict[float, OptimReport] = {}
-    # (log c3, log delta, log nu) of every converged inner solve, by log c3.
-    optima: list[tuple[float, float, float]] = []
     lo, hi = cfg.c3_bracket
-    t_lo, t_hi = math.log(lo / 4.0), math.log(4.0 * hi)
-    ends = {t_lo: lo / 4.0, t_hi: 4.0 * hi}
-
-    def solve(c3: float) -> OptimReport:
-        report = solves.get(c3)
-        if report is None:
-            t = math.log(c3)
-            start = _asymptotic_seed(c3, beta) if c3 == 4.0 * hi else _predict_start(optima, t)
-            report = solves[c3] = minimize_inner(c3, beta, cfg, start=start)
-            if report.converged:
-                p = report.best_params
-                bisect.insort(optima, (t, math.log(p.delta), math.log(p.nu)))
-        return report
-
-    def signed_objective(t: float) -> tuple[float, float]:
-        """(V, dV/dc3) at c3 = e^t, V the upper objective or the negated
-        lower one; both are (min K + I_sph)/sqrt(alpha)."""
-        c3 = ends[t] if t in ends else math.exp(t)
-        report = solve(c3)
-        value = signed_value(c3, alpha, report.best_value, branch)
-        return value, (report.slope + i_sph_slope(c3, alpha, branch)) / math.sqrt(alpha)
-
-    (best_val, best_t), edge = _slope_search(signed_objective, t_lo, t_hi, cfg.outer_tol)
-    best_c3 = ends[best_t] if best_t in ends else math.exp(best_t)
+    ends = {math.log(lo / 4.0): lo / 4.0, math.log(4.0 * hi): 4.0 * hi}
+    t_lo, t_hi = min(ends), max(ends)
+    grid = cfg.multistart_grid
+    starts = [_START_C3[upper]]
+    if grid >= 2:
+        starts += [lo * (hi / lo) ** (i / (grid - 1)) for i in range(grid)]
+    best = None
+    evals = 0
+    for c3 in starts:
+        t = min(max(math.log(c3), t_lo), t_hi)
+        run = _joint_newton(beta, alpha, branch, t, ends, cfg, cfg.max_evals - evals)
+        evals += run[5]
+        if best is None or run[:2] < best[:2]:
+            best = run
+        if evals >= cfg.max_evals:
+            break
+    _value, c3, delta, nu, k, _evals, converged, edge = best
+    value = signed_value(c3, alpha, k, branch)
     # The c3 -> 0 limit is exactly the simple bound; listing it with c3 = 0
     # both enforces never-worse-than-limit and wins ties at the smallest c3.
-    limit_value = simple_upper(shape).value if upper else simple_lower(shape).value
-    best_val, best_c3 = min((best_val, best_c3), (limit_value if upper else -limit_value, 0.0))
-    # A search that stopped at the upper end has its optimum at or past
-    # 4 hi: non-converged.  At the lower end the c3 -> 0 limit is the
-    # optimum, so the result is converged only if the limit wins.
-    if best_c3 == 0.0:
-        params = _limit_params(beta)
-        converged = edge != t_hi
+    limit_value = simple_upper(shape).value if upper else -simple_lower(shape).value
+    if limit_value <= value:
+        # A run that stopped at the upper end has its optimum at or past
+        # 4 hi: non-converged, whatever the limit.
+        value, params, converged = limit_value, _limit_params(beta), not (edge and c3 == 4.0 * hi)
     else:
-        report = solves[best_c3]
-        params = report.best_params
-        converged = report.converged and edge is None
-
-    value = best_val if upper else -best_val
-    return BoundResult(
-        kind=kind,
-        value=value,
-        params=params,
-        converged=converged,
-        evaluations=sum(report.evaluations for report in solves.values()),
-    )
+        # A run that stopped at either end has its optimum past that end.
+        params = LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta)
+        converged = converged and not edge
+    return BoundResult(kind=kind, value=value if upper else -value, params=params,
+                       converged=converged, evaluations=evals)
 
 
 def lifted_upper_objective(c3: float, shape: ProblemShape, config=None) -> float:

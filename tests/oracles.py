@@ -9,7 +9,8 @@ forms, and power iteration instead of a dense eigensolver.
 Reference implementations follow: plain loop-and-list forms of package
 kernels that the package runs in faster forms, against which those are
 checked bit for bit.  The module ends with helpers that only the tests
-use: a support type and the extreme singular values of one support.
+use: the lifted objectives assembled from an inner value J, a support
+type and the extreme singular values of one support.
 """
 
 from __future__ import annotations
@@ -212,13 +213,16 @@ def i_sph_mp(c3, alpha, plus: bool):
     return ghat - alpha / (2 * c3) * mp.log(1 - c3 / (2 * ghat))
 
 
-def lifted_value_mp(upper: bool, alpha, beta, c3, gamma, nu):
-    """The assembled upper or lower objective at (c3, gamma, nu)."""
-    inner = inner_objective_mp(c3, beta, gamma, nu)
-    half = mp.mpf(c3) / 2
-    if upper:
-        return (-half + inner + i_sph_mp(c3, alpha, True)) / mp.sqrt(mp.mpf(alpha))
-    return (half - inner - i_sph_mp(c3, alpha, False)) / mp.sqrt(mp.mpf(alpha))
+def lifted_value_mp(upper: bool, alpha, beta, c3, gamma, nu, delta=None):
+    """The assembled upper or lower objective at (c3, gamma, nu), or, given
+    ``delta``, at gamma = c3/2 + delta formed exactly from the binary delta
+    (past c3 ~ 1e7 the binary gamma no longer carries delta)."""
+    if delta is None:
+        inner = inner_objective_mp(c3, beta, gamma, nu) - mp.mpf(c3) / 2
+    else:
+        inner = inner_k_mp(c3, beta, delta, nu)
+    value = (inner + i_sph_mp(c3, alpha, upper)) / mp.sqrt(mp.mpf(alpha))
+    return value if upper else -value
 
 
 def gram_extremes_power_iteration(
@@ -491,6 +495,19 @@ def single_simplex_inner(c3: float, beta: float, cfg) -> tuple[float, int]:
     _x, fx, evals, _converged = nelder_mead_lists(
         objective, seed, step=0.5, tol=cfg.inner_tol, max_evals=cfg.max_evals)
     return fx, evals
+
+
+# --- test-only helpers of the lifted objectives --------------------------------
+
+
+def upper_value_from_inner(c3: float, shape, inner_value: float) -> float:
+    """Assemble the upper objective from an already-minimized inner value J."""
+    return signed_value(c3, shape.alpha, inner_value - 0.5 * c3, SphBranch.PLUS)
+
+
+def lower_value_from_inner(c3: float, shape, inner_value: float) -> float:
+    """Assemble the lower objective from an already-minimized inner value J."""
+    return -signed_value(c3, shape.alpha, inner_value - 0.5 * c3, SphBranch.MINUS)
 
 
 # --- test-only helpers of the empirical oracle --------------------------------

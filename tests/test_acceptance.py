@@ -31,11 +31,10 @@ from ric_bounds import (
     simple_lower,
     simple_upper,
 )
-from ric_bounds.bounds_lifted import lower_value_from_inner
 from ric_bounds.reference_tables import lookup
 
 from conftest import ALPHAS, LOWER_RHOS, UPPER_RHOS
-from oracles import moment_monte_carlo
+from oracles import lower_value_from_inner, moment_monte_carlo
 
 UPPER_SIMPLE_TABLE = {0.1: 1, 0.3: 1, 0.5: 1, 0.7: 2, 0.9: 2}
 UPPER_LIFTED_TABLE = {0.1: 3, 0.3: 3, 0.5: 3, 0.7: 4, 0.9: 4}

@@ -23,10 +23,18 @@ from ric_bounds import (
     simple_lower,
     simple_upper,
 )
-from ric_bounds.bounds_lifted import i_sph_slope, lower_value_from_inner, upper_value_from_inner
+from ric_bounds.bounds_lifted import i_sph_derivatives
 from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN
 
-from oracles import CERT_DPS, i_sph_mp, inner_k_mp, inner_objective_mp, moment_monte_carlo
+from oracles import (
+    CERT_DPS,
+    i_sph_mp,
+    inner_k_mp,
+    inner_objective_mp,
+    lower_value_from_inner,
+    moment_monte_carlo,
+    upper_value_from_inner,
+)
 
 
 class TestGammaHat:
@@ -87,16 +95,49 @@ class TestISph:
     @pytest.mark.parametrize("branch", [SphBranch.PLUS, SphBranch.MINUS])
     @pytest.mark.parametrize("alpha", [0.1, 0.9])
     def test_slope_matches_extended_precision(self, branch, alpha):
-        """i_sph_slope equals mp.diff of the 50-digit spherical term to
-        1e-11 relative for c3 = 2^-14 .. 2^14, the PLUS branch included,
-        where 2 ghat - c3 cancels as c3 grows."""
+        """The slope from i_sph_derivatives equals mp.diff of the 50-digit
+        spherical term to 1e-11 relative for c3 = 2^-14 .. 2^14, the PLUS
+        branch included, where 2 ghat - c3 cancels as c3 grows."""
         for k in range(-14, 15, 2):
             c3 = 2.0**k
             with mp.workdps(CERT_DPS):
                 exact = mp.diff(lambda c: i_sph_mp(c, alpha, branch is SphBranch.PLUS),
                                 mp.mpf(c3))
-                err = abs(float((i_sph_slope(c3, alpha, branch) - exact) / exact))
+                err = abs(float((i_sph_derivatives(c3, alpha, branch)[1] - exact) / exact))
             assert err <= 1e-11, (c3, err)
+
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.1, 1.0])
+    def test_minus_branch_finite_at_the_far_end_of_the_widest_bracket(self, alpha):
+        """On the MINUS branch c3/(2 ghat) ~ -c3^2/alpha overflows before
+        4 x the bracket ceiling for small alpha; past -2^52 the log is taken
+        as log(alpha/(4 ghat^2)), so the term and its derivatives stay
+        finite and the term keeps 1e-14 relative accuracy."""
+        for c3 in (2.0**60, 1e100, 4.0 * optimizer._C3_CEILING):
+            terms = i_sph_derivatives(c3, alpha, SphBranch.MINUS)
+            assert all(math.isfinite(x) for x in terms), c3
+            with mp.workdps(CERT_DPS + 320):
+                exact = i_sph_mp(c3, alpha, False)
+                assert abs(terms[0] - exact) <= 1e-14 * abs(exact), c3
+
+    @pytest.mark.parametrize("branch", [SphBranch.PLUS, SphBranch.MINUS])
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 1.0])
+    def test_second_derivative_matches_extended_precision(self, branch, alpha):
+        """I_sph'' from i_sph_derivatives equals the second mp.diff of the
+        spherical term at 80 digits for c3 = 2^-20 .. 2^40, on the scale of
+        its share of the second derivative in log c3: c3^2 I'' is within
+        1e-12 (c3^2 |I''| + c3 |I'|) + 4 eps, where the eps is the rounding
+        of I' and I'' as c3 -> 0.  The first item is i_sph bit for bit."""
+        eps = math.ulp(1.0)
+        with mp.workdps(80):
+            for k in range(-20, 41, 2):
+                c3 = 2.0**k
+                value, slope, curvature = i_sph_derivatives(c3, alpha, branch)
+                assert value == i_sph(c3, alpha, branch)
+                exact = mp.diff(lambda c: i_sph_mp(c, alpha, branch is SphBranch.PLUS),
+                                mp.mpf(c3), 2)
+                err = float(abs(curvature - exact)) * c3 * c3
+                assert err <= 1e-12 * (c3 * c3 * abs(float(exact)) + c3 * abs(slope)) + 4 * eps, c3
 
 
 class TestBigIUric:
@@ -287,6 +328,38 @@ class TestInnerObjective:
                 err = abs(float((report.slope - exact) / exact))
             assert err <= 1e-8, (c3, err)
 
+    @pytest.mark.parametrize("beta", [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX])
+    def test_c3_row_matches_extended_precision(self, beta):
+        """At the inner optimum for c3 = 2^-20 .. 2^40, K_cc, K_c,delta and
+        K_c,nu from derivatives=2 equal mp.diff of the 80-digit K at fixed
+        (delta, nu), on the scale of the Hessian in (log c3, delta, nu): an
+        entry's error is within 1e-12 of the geometric mean of its diagonal
+        entries, whose t entry is c3^2 |K_cc| + c3 |K_c|, plus 4 eps on
+        c3^2 K_cc, whose rounding grows like eps/c3^2 as c3 -> 0.  The first
+        four items are those of derivatives=True, bit for bit."""
+        eps = math.ulp(1.0)
+        with mp.workdps(80):
+            for k in range(-20, 41, 4):
+                c3 = 2.0**k
+                p = minimize_inner(c3, beta).best_params
+                value, grad, hess, slope, (k_cc, k_cd, k_cn) = i_uric_inner(
+                    c3, beta, None, p.nu, delta=p.delta, derivatives=2)
+                assert (value, grad, hess, slope) == i_uric_inner(
+                    c3, beta, None, p.nu, delta=p.delta, derivatives=True)
+                point = (mp.mpf(c3), mp.mpf(p.delta), mp.mpf(p.nu))
+
+                def k_mp(c, d, n):
+                    return inner_k_mp(c, beta, d, n)
+
+                exact_cc, exact_cd, exact_cn = (mp.diff(k_mp, point, order) for order in
+                                                ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
+                d_t = c3 * c3 * abs(float(exact_cc)) + c3 * abs(slope)
+                err_cc = float(abs(k_cc - exact_cc)) * c3 * c3
+                assert err_cc <= 1e-12 * d_t + 4 * eps, (c3, err_cc)
+                for got, exact, d_y in ((k_cd, exact_cd, hess[0]), (k_cn, exact_cn, hess[2])):
+                    err = float(abs(got - exact)) * c3
+                    assert err <= 1e-12 * math.sqrt(d_t * d_y), (c3, got, float(exact))
+
     def test_c3_slope_rounding_down_to_the_bracket_floor(self):
         """Below 2^-16, K_c and dI_sph/dc3 are each a difference of terms of
         size about 1/c3, so their absolute rounding error grows like eps/c3.
@@ -309,7 +382,7 @@ class TestInnerObjective:
                     for c3 in c3s:
                         exact = mp.diff(lambda c: i_sph_mp(c, alpha, branch is SphBranch.PLUS),
                                         mp.mpf(c3))
-                        got = i_sph_slope(c3, alpha, branch)
+                        got = i_sph_derivatives(c3, alpha, branch)[1]
                         assert abs(got - exact) <= 2.0 * eps / c3, (alpha, branch, c3)
 
     def test_k_form_matches_extended_precision(self):

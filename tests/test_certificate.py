@@ -9,7 +9,8 @@ Newton on the analytic gradient, by at most 1e-10.  The outer search
 must have found a local optimum in c3: moving c3 by a factor 1 +- 1e-3 or
 1 +- 0.1, with the inner problem solved again, may improve the bound by at
 most inner_tol.  Cells won by the c3 -> 0 limit report the closed form and
-carry no (c3, gamma, nu) to check.
+carry no (c3, gamma, nu) to check.  The high-rho lower cells, whose
+values fall to 1e-15, are certified relative to their size.
 """
 
 import math
@@ -23,10 +24,12 @@ from ric_bounds import (
     i_uric_inner,
     lifted_lower_objective,
     lifted_upper_objective,
+    optimize_lower,
 )
 
 from oracles import (
     CERT_DPS,
+    i_sph_mp,
     inner_gradient_mp,
     inner_minimum_mp,
     inner_objective_mp,
@@ -113,3 +116,44 @@ def test_oracle_agrees_with_package_and_numeric_gradient(c3, beta, gamma, nu):
         num_dn = mp.diff(lambda n: inner_objective_mp(c3, beta, gamma, n), mp.mpf(nu))
         assert abs(dg - num_dg) < mp.mpf(10) ** -30
         assert abs(dn - num_dn) < mp.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_far_lower_maxima_match_extended_precision(alpha):
+    """Searched with c3 up to 1e150, lower (alpha, 0.9) peaks at c3 from
+    513 (alpha 0.9) to 1.15e13 (alpha 0.1), with values from 1.8e-4 down to
+    2.7e-15, where the absolute VALUE_TOL says nothing.  The reported value
+    equals the 60-digit value at the reported (c3, delta, nu) to 1e-12
+    relative, and it is a local maximum: at c3 (1 +- 0.01), with (gamma, nu)
+    solved again at 60 digits, the bound is lower."""
+    shape = ProblemShape.from_rho(alpha, 0.9)
+    result = optimize_lower(shape, OptimizerConfig(c3_bracket=(1e-4, 1e150)))
+    p = result.params
+    assert result.converged
+    with mp.workdps(60):
+        exact = lifted_value_mp(False, alpha, shape.beta, p.c3, p.gamma, p.nu, delta=p.delta)
+        assert abs(result.value - exact) <= 1e-12 * abs(exact), (p, float(exact))
+        for factor in (0.99, 1.01):
+            c3 = mp.mpf(p.c3) * factor
+            _g, _n, j = inner_minimum_mp(c3, shape.beta, c3 / 2 + mp.mpf(p.delta) / factor,
+                                         mp.mpf(p.nu) / factor)
+            neighbour = -(j - c3 / 2 + i_sph_mp(c3, alpha, False)) / mp.sqrt(alpha)
+            assert neighbour < exact, (factor, float(neighbour))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3])
+def test_edge_values_are_minimized_relative_to_their_scale(alpha):
+    """Lower (0.1, 0.9) and (0.3, 0.9) peak past 4 hi = 4e7 for hi = 1e7,
+    so the run stops there, non-converged, with V about 1e-9: an inner stop
+    absolute at inner_tol = 1e-10 would end far above min V there.  The
+    reported value equals the 60-digit bound minimized over (gamma, nu) at
+    c3 = 4e7 to 1e-10 relative."""
+    shape = ProblemShape.from_rho(alpha, 0.9)
+    result = optimize_lower(shape, OptimizerConfig(c3_bracket=(1e-4, 1e7)))
+    p = result.params
+    assert p.c3 == 4e7 and not result.converged
+    with mp.workdps(60):
+        c3 = mp.mpf(p.c3)
+        _g, _n, j = inner_minimum_mp(c3, shape.beta, c3 / 2 + mp.mpf(p.delta), mp.mpf(p.nu))
+        best = -(j - c3 / 2 + i_sph_mp(c3, alpha, False)) / mp.sqrt(alpha)
+        assert abs(result.value - best) <= 1e-10 * abs(best), (result.value, float(best))

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from ric_bounds import cli
+from ric_bounds import SphBranch, cli, i_uric_inner
+from ric_bounds.bounds_lifted import signed_value
 from ric_bounds.cli import CSV_HEADER, main
 
 FAST = ["--multistart", "2", "--outer-tol", "1e-3", "--inner-tol", "1e-8", "--max-evals", "4000"]
@@ -350,6 +351,47 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestJsonInnerDelta:
+    """``--format json`` rows carry the exact inner delta = gamma - c3/2 as
+    ``inner_delta`` (``delta`` is value - reference); CSV and text do not."""
+
+    @staticmethod
+    def _reproduced(row, beta):
+        branch = SphBranch.PLUS if row["kind"] == "upper-lifted" else SphBranch.MINUS
+        k = i_uric_inner(row["c3"], beta, None, row["nu"], delta=row["inner_delta"])
+        value = signed_value(row["c3"], row["alpha"], k, branch)
+        return value if branch is SphBranch.PLUS else -value
+
+    def test_bound_point_reproduces_the_value_past_gamma_resolution(self, capsys):
+        """At c3 = 4e7 the printed gamma is c3/2 and the binary gamma is
+        one ulp (3.7e-9) above it, so neither carries delta ~ 3.4e-9: only
+        inner_delta locates the reported point."""
+        argv = ["bound", "--kind", "lower-lifted", "--alpha", "0.3", "--rho", "0.9",
+                "--c3-max", "1e7"]
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 3
+        (row,) = json.loads(out)["rows"]
+        assert row["c3"] == 4e7 and row["gamma"] - 2e7 != row["inner_delta"] > 0.0
+        assert self._reproduced(row, 0.9 * 0.3) == row["value"]
+        _, text, _ = run_cli(argv, capsys)
+        assert "gamma: 2e+07\n" in text and "delta" not in text
+        _, csv, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert csv.splitlines()[0] == CSV_HEADER and len(csv.splitlines()[1].split(",")) == 10
+
+    def test_sweep_rows_reproduce_their_values(self, capsys):
+        code, out, _ = run_cli(["sweep", "--alphas", "0.5", "0.9", "--rhos", "0.1", "0.9",
+                                "--format", "json"], capsys)
+        assert code == 3
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 16
+        for row in rows:
+            if row["kind"].endswith("simple"):
+                assert row["inner_delta"] is None
+            else:
+                beta = row["rho"] * row["alpha"]
+                assert self._reproduced(row, beta) == row["value"], row
 
 
 class TestBoundCsvFormat:

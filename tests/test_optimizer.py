@@ -18,11 +18,16 @@ from ric_bounds import (
     simple_lower,
     simple_upper,
 )
-from ric_bounds.bounds_lifted import SphBranch, i_sph, signed_value, upper_value_from_inner
+from ric_bounds.bounds_lifted import SphBranch, i_sph, signed_value
 from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN, KIND_LOWER_LIFTED, KIND_UPPER_LIFTED
 from ric_bounds.cli import DEFAULT_ALPHAS, DEFAULT_RHOS
 
-from oracles import nelder_mead_lists, optimize_outer_scan, single_simplex_inner
+from oracles import (
+    nelder_mead_lists,
+    optimize_outer_scan,
+    single_simplex_inner,
+    upper_value_from_inner,
+)
 
 # The inner config of the criterion-10 sweep argv (--multistart 2 ...).
 CRITERION_10_CONFIG = OptimizerConfig(
@@ -260,7 +265,7 @@ class TestMinimizeInner:
 class TestWarmStart:
     """``minimize_inner(..., start=(delta, nu))`` runs Newton from the given
     point first and falls back to the cold starts when that run ends
-    non-converged; the outer search passes its predicted start here."""
+    non-converged."""
 
     BETAS = [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX]
 
@@ -366,100 +371,6 @@ class TestWarmStart:
 
 
 
-class TestPredictedStartsAlongC3:
-    """The outer search starts each inner solve from a prediction along
-    the optima it has found.  That moves only the start: on the 60 lifted
-    cells of the default grid the reported value and flag equal a search
-    whose every inner solve starts cold, at the CSV's 6 digits, in fewer
-    evaluations, each of them one call of ``optimizer.i_uric_inner``."""
-
-    def _run(self, monkeypatch, cold):
-        calls = [0]
-        leaf = optimizer.i_uric_inner
-        inner = optimizer.minimize_inner
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return leaf(*args, **kwargs)
-
-        def cold_inner(c3, beta, config=None, *, start=None):
-            return inner(c3, beta, config)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "i_uric_inner", counted)
-            if cold:
-                patch.setattr(optimizer, "minimize_inner", cold_inner)
-            rows = []
-            for alpha in DEFAULT_ALPHAS:
-                for rho in DEFAULT_RHOS:
-                    shape = ProblemShape.from_rho(alpha, rho)
-                    for optimize in (optimize_upper, optimize_lower):
-                        calls[0] = 0
-                        result = optimize(shape)
-                        assert result.evaluations == calls[0], (alpha, rho)
-                        rows.append(((alpha, rho, result.kind), f"{result.value:.6g}",
-                                     result.converged, result.evaluations))
-        return rows
-
-    def test_default_grid_matches_cold_starts(self, monkeypatch):
-        warm = self._run(monkeypatch, cold=False)
-        cold = self._run(monkeypatch, cold=True)
-        assert len(warm) == 60
-        for w, c in zip(warm, cold):
-            assert w[:3] == c[:3]
-        warm_evals = sum(w[3] for w in warm)
-        assert warm_evals < sum(c[3] for c in cold)
-        assert warm_evals <= 3300
-
-    def test_default_grid_evaluation_total(self):
-        """The 60 lifted cells of the default grid cost at most 2,404
-        evaluations in all, the count once the far end of each search
-        starts from the c3 -> inf optimum (2,696 before)."""
-        total = 0
-        for alpha in DEFAULT_ALPHAS:
-            for rho in DEFAULT_RHOS:
-                shape = ProblemShape.from_rho(alpha, rho)
-                total += optimize_upper(shape).evaluations + optimize_lower(shape).evaluations
-        assert total <= 2404
-
-    def test_far_end_starts_from_the_asymptotic_optimum(self, monkeypatch):
-        """The solve at c3 = 4 hi starts from the c3 -> inf optimum, not from
-        a prediction extrapolated from optima far below it, and converges
-        from that first start on every default cell whose search gets there."""
-        far = []
-        inner = optimizer.minimize_inner
-        end = 4.0 * OptimizerConfig().c3_bracket[1]
-
-        def recorded(c3, beta, config=None, *, start=None):
-            report = inner(c3, beta, config, start=start)
-            if c3 == end:
-                far.append((start == optimizer._asymptotic_seed(c3, beta), report.converged,
-                            report.restarts_used))
-            return report
-
-        monkeypatch.setattr(optimizer, "minimize_inner", recorded)
-        for alpha in DEFAULT_ALPHAS:
-            for rho in DEFAULT_RHOS:
-                optimize_lower(ProblemShape.from_rho(alpha, rho))
-        assert len(far) >= len(TestEdgeBehavior.EDGE_CELLS)
-        assert set(far) == {(True, True, 1)}
-
-    def test_prediction_interpolates_in_log_space(self):
-        optima = [(0.0, math.log(2.0), math.log(8.0)), (2.0, math.log(8.0), math.log(2.0))]
-        predict = optimizer._predict_start
-        assert predict([], 1.0) is None
-        assert predict(optima[:1], 5.0) == pytest.approx((2.0, 8.0))
-        assert predict(optima, 1.0) == pytest.approx((4.0, 4.0))  # bracketed
-        assert predict(optima, 4.0) == pytest.approx((32.0, 0.5))  # extrapolated above
-        assert predict(optima, -2.0) == pytest.approx((0.5, 32.0))  # and below
-        three = optima + [(3.0, 0.0, 0.0)]
-        assert predict(three, 2.5) == pytest.approx((math.sqrt(8.0), math.sqrt(2.0)))
-        assert predict(three, 10.0) == pytest.approx((8.0 ** -7, 2.0 ** -7))
-        # Two optima 1e-6 apart in log c3 extrapolated 1 away: exp(1000)
-        # overflows, so there is no prediction and the solve starts cold.
-        assert predict([(0.0, 0.0, 0.0), (1e-6, 1e-3, 0.0)], 1.0) is None
-
-
 class TestOptimizeUpper:
     @pytest.mark.parametrize(
         "alpha,beta,expected",
@@ -526,62 +437,193 @@ class TestSearchProperties:
             assert perturbed >= base - cfg.inner_tol
 
 
-class TestSlopeSearch:
-    """``optimizer._slope_search`` on functions given as (value, slope)."""
+class TestJointSolve:
+    """One projected damped Newton run per cell in (t = log c3, delta, nu)."""
 
-    TOL = 1e-6
+    def test_default_grid_evaluation_total(self, monkeypatch):
+        """The 60 lifted cells of the default grid cost at most 555
+        evaluations in all (2,404 for the slope search over nested inner
+        solves it replaced), each one call of ``optimizer.i_uric_inner``,
+        and no cell runs an inner solve."""
+        calls = [0]
+        leaf = optimizer.i_uric_inner
 
-    @staticmethod
-    def _recorded(f, df, seen):
-        def fn(t):
-            value = f(t)
-            seen.append((value, t))
-            return value, df(t)
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return leaf(*args, **kwargs)
 
-        return fn
+        def no_inner_solve(*args, **kwargs):
+            raise AssertionError("the joint solve runs no inner solve")
 
-    def test_interior_root_within_tolerance(self):
-        seen = []
-        fn = self._recorded(lambda t: (t - 0.3) ** 2 + math.sin(t) ** 4,
-                            lambda t: 2.0 * (t - 0.3) + 4.0 * math.sin(t) ** 3 * math.cos(t),
-                            seen)
-        best, edge = optimizer._slope_search(fn, -2.0, 3.0, self.TOL)
-        assert edge is None
-        assert best == min(seen)
-        assert abs(best[1] - 0.2652344593) <= self.TOL  # the minimizer, to 1e-10
-        assert len(seen) < 12
+        monkeypatch.setattr(optimizer, "i_uric_inner", counted)
+        monkeypatch.setattr(optimizer, "minimize_inner", no_inner_solve)
+        total = 0
+        for alpha in DEFAULT_ALPHAS:
+            for rho in DEFAULT_RHOS:
+                shape = ProblemShape.from_rho(alpha, rho)
+                for optimize in (optimize_upper, optimize_lower):
+                    calls[0] = 0
+                    result = optimize(shape)
+                    assert result.evaluations == calls[0], (alpha, rho)
+                    total += result.evaluations
+        assert total <= 555
 
-    @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["falls-to-upper", "falls-to-lower"])
-    def test_monotone_keeps_the_far_end(self, slope):
-        """A monotone function ends the search at its descent end, after a
-        golden step toward it; the outer search reads that as an edge
-        optimum."""
-        lo, hi = -1.5, 2.0
-        seen = []
-        fn = self._recorded(lambda t: -slope * t, lambda t: -slope, seen)
-        best, edge = optimizer._slope_search(fn, lo, hi, self.TOL)
-        end = hi if slope > 0 else lo
-        assert edge == end and best == (-slope * end, end)
-        assert len(seen) == 3 and seen[-1][1] == end
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_far_maximum_agrees_across_brackets(self, alpha):
+        """Lower (0.3, 0.9) and (0.5, 0.9) peak at c3 ~ 4.0e8 and ~ 1.8e6,
+        where V is about 1e-10 and 3e-8.  A stop test absolute in K once
+        reported converged false roots there that moved with the bracket;
+        relative to V's scale, the brackets up to 1e13, 1e20, 1e100 and
+        1e150 report one converged value to the CSV's 6 digits."""
+        shape = ProblemShape.from_rho(alpha, 0.9)
+        rows = set()
+        for hi in (1e13, 1e20, 1e100, 1e150):
+            result = optimize_lower(shape, OptimizerConfig(c3_bracket=(1e-4, hi)))
+            rows.add((f"{result.value:.6g}", result.converged))
+        assert len(rows) == 1 and rows.pop()[1]
 
-    def test_slope_fading_toward_an_end_stops_there(self):
-        """A slope that tends to 0 without changing sign, as the lower
-        family's does toward c3 = inf, also ends at the edge in three
-        evaluations."""
-        seen = []
-        fn = self._recorded(lambda t: math.exp(-t), lambda t: -math.exp(-t), seen)
-        best, edge = optimizer._slope_search(fn, -10.0, 6.0, self.TOL)
-        assert edge == 6.0 and best == (math.exp(-6.0), 6.0) and len(seen) == 3
+    T_LO, T_HI = -1.0, 1.0
 
-    def test_ties_resolve_to_the_smaller_point(self):
-        """On a plateau of equal values around the root, the smallest
-        evaluated point of the plateau wins."""
-        seen = []
-        fn = self._recorded(lambda t: max(abs(t) - 1.0, 0.0), lambda t: t, seen)
-        best, edge = optimizer._slope_search(fn, -4.0, 3.0, self.TOL)
-        plateau = [t for value, t in seen if value == 0.0]
-        assert edge is None and len(plateau) > 1
-        assert best == min(seen) == (0.0, min(plateau))
+    def test_step_is_newton_inside_the_bounds(self):
+        """Away from the bounds the step solves H step = -g, and the
+        decrement is g' H^{-1} g."""
+        grad = (0.3, -0.2, 0.1)
+        hess = (2.0, 0.5, 0.3, 1.5, 0.2, 1.0)
+        step_t, end_t, step_d, step_n, decrement, _slope = optimizer._joint_step(
+            grad, hess, 0.0, self.T_LO, self.T_HI)
+        h_tt, h_td, h_tn, h_dd, h_dn, h_nn = hess
+        step = (step_t, step_d, step_n)
+        rows = ((h_tt, h_td, h_tn), (h_td, h_dd, h_dn), (h_tn, h_dn, h_nn))
+        for row, g in zip(rows, grad):
+            assert sum(h * p for h, p in zip(row, step)) == pytest.approx(-g, abs=1e-15)
+        assert end_t == step_t
+        assert decrement == pytest.approx(-sum(g * p for g, p in zip(grad, step)), rel=1e-15)
+        assert decrement > 0.0
+
+    def test_step_is_projected_onto_the_bounds(self):
+        """A step past a bound ends exactly on it; at a bound with the
+        slope pointing out, t stays and (delta, nu) take their Newton step;
+        without curvature in t the step is _T_STEP downhill; without
+        curvature in (delta, nu) there is no step."""
+        hess = (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+        past = optimizer._joint_step((-3.0, 0.5, 0.25), hess, 0.25, self.T_LO, self.T_HI)
+        assert past[:4] == (self.T_HI - 0.25, self.T_HI, -0.5, -0.25)
+        # With hi = 0.1, t + (t_hi - t) rounds off t_hi = log(4 hi) from here.
+        t, t_hi = -1.916290731874155, math.log(0.4)
+        assert t + (t_hi - t) != t_hi
+        cut = optimizer._joint_step((-3.0, 0.0, 0.0), hess, t, -10.0, t_hi)
+        assert cut[:2] == (t_hi - t, t_hi)
+        held = optimizer._joint_step((-3.0, 0.5, 0.25), hess, self.T_HI, self.T_LO, self.T_HI)
+        assert held[:4] == (0.0, self.T_HI, -0.5, -0.25) and held[5] == -3.0
+        concave = (-1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+        downhill = optimizer._joint_step((1e-3, 0.0, 0.0), concave, 0.0, -10.0, 10.0)
+        assert downhill[0] == -optimizer._T_STEP and downhill[4] > 0.0
+        flat = (1.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        assert optimizer._joint_step((0.1, 0.1, 0.1), flat, 0.0, self.T_LO, self.T_HI) is None
+
+    @pytest.mark.parametrize("upper,c3,alpha,beta",
+                             [(True, 0.1, 0.5, 0.05), (False, 3.0, 0.5, 0.05),
+                              (False, 2e5, 0.5, 0.45)])
+    def test_schur_complement_is_the_envelope_curvature(self, upper, c3, alpha, beta):
+        """At the inner optimum the slope and the Schur complement of the
+        joint Hessian are the first and second derivatives in t = log c3 of
+        min over (delta, nu) of V, here by central differences of inner
+        solves (Boyd & Vandenberghe, Convex Optimization, A.5.5)."""
+        branch = SphBranch.PLUS if upper else SphBranch.MINUS
+        p = minimize_inner(c3, beta).best_params
+        _v, _s, _r, _k, grad, hess = optimizer._joint_point(c3, beta, alpha, branch,
+                                                           p.delta, p.nu)
+        slope = optimizer._joint_step(grad, hess, 0.0, -math.inf, math.inf)[5]
+        h_tt, h_td, h_tn, h_dd, h_dn, h_nn = hess
+        det = h_dd * h_nn - h_dn * h_dn
+        schur = h_tt - (h_nn * h_td * h_td - 2.0 * h_dn * h_td * h_tn + h_dd * h_tn * h_tn) / det
+
+        def envelope(t):
+            c = c3 * math.exp(t)
+            return minimize_inner(c, beta).best_value + i_sph(c, alpha, branch)
+
+        h = 1e-3
+        values = [envelope(t) for t in (-h, 0.0, h)]
+        scale = abs(values[1])
+        assert slope == pytest.approx((values[2] - values[0]) / (2 * h), rel=1e-4, abs=1e-9 * scale)
+        second = (values[2] - 2.0 * values[1] + values[0]) / (h * h)
+        assert schur == pytest.approx(second, rel=1e-3, abs=1e-6 * scale)
+
+    @pytest.mark.parametrize("optimize", [optimize_upper, optimize_lower], ids=["upper", "lower"])
+    def test_budget_caps_each_cell(self, optimize):
+        """max_evals caps the evaluations of a cell, rejected line-search
+        trials included, and a cap at or above the uncapped count changes
+        nothing.  The run only lowers V, so a capped value is never a
+        better bound."""
+        shape = ProblemShape.from_rho(0.5, 0.3)
+        free = optimize(shape)
+        for cap in range(1, free.evaluations + 2):
+            capped = optimize(shape, OptimizerConfig(max_evals=cap))
+            assert capped.evaluations <= cap
+            if cap >= free.evaluations:
+                assert capped == free
+            elif optimize is optimize_upper:
+                assert capped.value >= free.value
+            else:
+                assert capped.value <= free.value
+
+    @pytest.mark.parametrize("grid", [2, 3])
+    def test_multistart_keeps_the_best_run(self, grid):
+        """multistart_grid = N runs the default run first and then N more
+        from c3 log-spaced over the bracket, so the bound is never worse,
+        bit for bit, and the result is deterministic."""
+        cfg = OptimizerConfig(multistart_grid=grid)
+        for alpha, rho in [(0.5, 0.3), (0.1, 0.7), (0.9, 0.9)]:
+            shape = ProblemShape.from_rho(alpha, rho)
+            for optimize, sign in ((optimize_upper, 1.0), (optimize_lower, -1.0)):
+                default, multi = optimize(shape), optimize(shape, cfg)
+                assert sign * multi.value <= sign * default.value
+                assert multi.evaluations > default.evaluations
+                assert optimize(shape, cfg) == multi
+
+    def test_flat_in_t_below_resolution_converges(self, monkeypatch):
+        """Where V is so flat in t that the decrement is below V's rounding
+        resolution, no line search can place c3 more finely: the run stops,
+        converged, instead of halving its step in t down to _MIN_STEP.
+        Scripted V = 1 + 1e-17 (t - 3)^2 + (delta - 1)^2 + (nu - 1)^2."""
+
+        def flat(c3, beta, alpha, branch, delta, nu):
+            t = math.log(c3)
+            value = 1.0 + 1e-17 * (t - 3.0) ** 2 + (delta - 1.0) ** 2 + (nu - 1.0) ** 2
+            grad = (2e-17 * (t - 3.0), 2.0 * (delta - 1.0), 2.0 * (nu - 1.0))
+            return value, 1.0, 4.0 * math.ulp(1.0), value, grad, (2e-17, 0, 0, 2.0, 0, 2.0)
+
+        monkeypatch.setattr(optimizer, "_joint_point", flat)
+        ends = {-10.0: math.exp(-10.0), 10.0: math.exp(10.0)}
+        run = optimizer._joint_newton(0.1, 0.5, SphBranch.PLUS, 0.0, ends, OptimizerConfig(), 100)
+        _value, c3, delta, nu, _k, evals, converged, edge = run
+        assert converged and not edge and evals <= 4
+        assert (delta, nu) == (1.0, 1.0) and c3 != math.exp(3.0)
+
+    def test_multistart_keeps_the_lowest_run_ties_to_the_smallest_c3(self, monkeypatch):
+        """Scripted runs (V, c3, delta, nu, K, evaluations, converged, edge):
+        the lowest V wins, ties to the smallest c3, and every run's
+        evaluations count."""
+        runs = iter([(0.5, 1.0, 0.1, 1.0, 0.0, 3, True, False),
+                     (0.3, 2.0, 0.1, 1.0, 0.0, 4, True, False),
+                     (0.3, 1.5, 0.1, 1.0, 0.0, 5, False, False),
+                     (0.4, 0.5, 0.1, 1.0, 0.0, 6, True, False)])
+        monkeypatch.setattr(optimizer, "_joint_newton", lambda *args: next(runs))
+        result = optimize_upper(ProblemShape(0.5, 0.05), OptimizerConfig(multistart_grid=3))
+        assert (result.params.c3, result.converged, result.evaluations) == (1.5, False, 18)
+
+    def test_run_ending_at_the_lower_end(self):
+        """Upper (0.5, 0.1) peaks at c3 ~ 0.40.  With lo/4 = 0.5 the run
+        stops at c3 = lo/4 exactly, below the c3 -> 0 limit, non-converged;
+        with lo/4 = 1 the limit wins, which is the optimum over the
+        bracket and its c3 -> 0 end."""
+        shape = ProblemShape.from_rho(0.5, 0.1)
+        edge = optimize_upper(shape, OptimizerConfig(c3_bracket=(2.0, 100.0)))
+        assert edge.params.c3 == 0.5 and not edge.converged
+        assert edge.value < simple_upper(shape).value
+        limit = optimize_upper(shape, OptimizerConfig(c3_bracket=(4.0, 100.0)))
+        assert limit.params.c3 == 0.0 and limit.converged
+        assert limit.value == simple_upper(shape).value
 
 
 class TestOuterSearchMatchesReference:
@@ -624,20 +666,26 @@ class TestEdgeBehavior:
     @pytest.mark.parametrize("alpha,rho", EDGE_CELLS)
     def test_default_edge_cells_cost_three_solves(self, alpha, rho, monkeypatch):
         """The 7 default lower cells whose objective still rises at
-        c3 = 4 hi: the slope there points out of the range, so the search
-        stops after at most 3 inner solves, non-converged, at c3 = 4 hi."""
-        solves = []
-        inner = optimizer.minimize_inner
+        c3 = 4 hi: the slope there points out of the range, so the joint
+        run stops at c3 = 4 hi, non-converged, without an inner solve and
+        within 20 evaluations of ``optimizer.i_uric_inner`` (the three
+        inner solves of the slope search it replaced cost 13-14)."""
+        calls = [0]
+        leaf = optimizer.i_uric_inner
 
-        def counted(c3, beta, config=None, *, start=None):
-            solves.append(c3)
-            return inner(c3, beta, config, start=start)
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return leaf(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "minimize_inner", counted)
+        def no_inner_solve(*args, **kwargs):
+            raise AssertionError("the joint solve runs no inner solve")
+
+        monkeypatch.setattr(optimizer, "i_uric_inner", counted)
+        monkeypatch.setattr(optimizer, "minimize_inner", no_inner_solve)
         shape = ProblemShape.from_rho(alpha, rho)
         result = optimize_lower(shape)
         assert not result.converged
-        assert len(solves) <= 3
+        assert result.evaluations == calls[0] <= 20
         assert result.params.c3 == 4.0 * OptimizerConfig().c3_bracket[1]
         assert result.value >= simple_lower(shape).value
 
