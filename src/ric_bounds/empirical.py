@@ -17,11 +17,11 @@ of evaluation order and safe to fan out.
 
 Sampled supports come from the same kind of counter: counter c of a
 trial's sequence draws one uniform k-subset by Floyd's algorithm, run
-in numpy across a batch of counters, and the first `budget` distinct
-subsets in counter order are the trial's supports.  Repeats are found
-by a uint64 colex-rank key, which is injective while C(n, k) < 2^64;
-only the rows that share a key are compared in full, so the result is
-exact when the key wraps too.
+in numpy across a batch of counters in the narrowest unsigned dtype
+that holds n - 1, and the first `budget` distinct subsets in counter
+order are the trial's supports.  Repeats are found by a uint64
+colex-rank key, injective while C(n, k) < 2^64; only rows that share a
+key are compared in full, so the result is exact when it wraps too.
 
 Per-support extreme singular values come from the k x k Gram form of
 the submatrix (symmetric PSD eigenproblem); the Gram matrices are
@@ -31,9 +31,11 @@ strided sample of the supports set incumbents, a batched Cholesky
 screen then discards every support that provably cannot beat the
 current extremes, and eigvalsh runs on the rest.  The screen runs in
 float32 on a copy of A^T A rescaled by a power of two, gathering each
-block's lower triangle once, with a margin sized by the backward error
-of float32 Cholesky; eigvalsh runs in float64 on the original.  The
-reported extremes are exactly those of eigvalsh over all supports.
+block's lower triangle once and factoring both sides in one pass, with
+a margin sized by the backward error of float32 Cholesky; eigvalsh runs
+in float64 on the original.  The reported extremes are exactly those of
+eigvalsh over all supports.  Each empirical_ric call allocates the
+arrays of both steps once and reuses them across chunks and trials.
 
 In exhaustive mode the supports are not listed.  A lex subset lattice
 builds each block's factor row by row: the last row of S comes from
@@ -64,12 +66,14 @@ MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on uint64 (wrapping arithmetic)."""
-    z = z + np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_array(z: np.ndarray, out: np.ndarray | None = None,
+                 spare: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on uint64 (wrapping), into out (may be z) via spare."""
+    z = np.add(z, np.uint64(_GOLDEN), out=out)
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=spare)
+        z *= np.uint64(mul)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=spare), out=z)
 
 
 def _trial_base(seed: int, trial: int) -> np.ndarray:
@@ -143,14 +147,27 @@ def sample_matrix(m: int, n: int, seed: int, trial: int = 0) -> GaussianMatrix:
     return GaussianMatrix(m=m, n=n, seed=seed, trial=trial, entries=entries)
 
 
-def _first_distinct(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row.
+def _buffer(work: dict | None, name: str, shape: tuple, dtype: type) -> np.ndarray:
+    """An uninitialized C-contiguous array on the memory of work[name],
+    which is replaced only when it is too small; a new one without work."""
+    work = {} if work is None else work
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if name not in work or work[name].size < nbytes:
+        work[name] = np.empty(nbytes, dtype=np.uint8)
+    return work[name][:nbytes].view(dtype).reshape(shape)
+
+
+def _first_distinct(rows: np.ndarray, key: np.ndarray) -> np.ndarray | None:
+    """Ascending indices of each distinct row's first occurrence; None if all keys differ.
 
     Equal rows must have equal keys.  A row whose key no other row has is
     a first occurrence; only the rows that share a key are compared in
     full, as opaque byte strings."""
     ordered = np.sort(key)
-    shared = np.isin(key, ordered[1:][ordered[1:] == ordered[:-1]])
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not repeated.size:
+        return None
+    shared = np.isin(key, repeated)
     keep = ~shared
     rest = np.flatnonzero(shared)
     if rest.size:
@@ -184,21 +201,24 @@ def _colex_weights(n: int, k: int) -> np.ndarray:
     return binom
 
 
-def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.ndarray:
+def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int,
+                      work: dict | None = None) -> np.ndarray:
     """First `budget` distinct supports of the deterministic (seed, trial)
     sequence.  Prefixes of the same sequence are nested, so growing the
     budget can only extend the support set.
 
     Counter c of the sequence draws Floyd's uniform k-subset of {0..n-1}
     from the mixer state keyed by (base, c); a batch of counters runs the
-    k Floyd steps on a (k, batch) array, one row per step.  Repeats are
-    keyed by the colex rank sum_i C(s_i, i+1) of the sorted row, which
-    wraps in uint64 and is injective while C(n, k) < 2^64.  The budget-th
-    distinct support must come from a counter below 50 * budget + 1000."""
+    k Floyd steps on a (k, batch) array, one row per step, in the
+    narrowest unsigned dtype that holds n - 1.  Repeats are keyed by the
+    colex rank sum_i C(s_i, i+1) of the sorted row, which wraps in uint64
+    and is injective while C(n, k) < 2^64.  The budget-th distinct support
+    must come from a counter below 50 * budget + 1000.  Arrays live in work."""
     base = _mix64_array(_trial_base(seed, trial) ^ np.uint64(0x5851F42D4C957F2D))
     binom = _colex_weights(n, k)
+    narrow = np.min_scalar_type(n - 1)
     limit = 50 * budget + 1000
-    found = np.empty((0, k), dtype=np.intp)
+    found = np.empty((0, k), dtype=narrow)
     start = 0
     # The first batch covers the expected number of counters up to the
     # budget-th distinct support, -C ln(1 - budget/C) with C = C(n, k),
@@ -209,21 +229,29 @@ def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.
     draws = budget * (-math.log1p(-frac) / frac if 0.0 < frac < 1.0 else 1.0)
     stop = min(math.ceil(draws + 4.0 * math.sqrt(max(draws - budget, 0.0))) + 16, limit)
     while True:
-        state = _mix64_array(base ^ _mix64_array(np.arange(start, stop, dtype=np.uint64)))
-        chosen = np.empty((k, stop - start), dtype=np.intp)
+        count, size = stop - start, found.shape[0] + stop - start
+        state, spare, key = (_buffer(work, name, (size,), np.uint64)
+                             for name in ("state", "spare", "key"))
+        hits = _buffer(work, "hits", (k, count), bool)
+        chosen = _buffer(work, "chosen", (k, count), narrow)
+        state = _mix64_array(np.arange(start, stop, dtype=np.uint64), state[:count], spare[:count])
+        state ^= base
+        _mix64_array(state, state, spare[:count])
         for i, j in enumerate(range(n - k, n)):
-            state = _mix64_array(state)
-            t = (state % np.uint64(j + 1)).astype(np.intp)
-            taken = np.zeros(t.shape[0], dtype=bool)
-            for c in range(i):
-                taken |= chosen[c] == t
-            chosen[i] = np.where(taken, j, t)
+            _mix64_array(state, state, spare[:count])
+            np.remainder(state, np.uint64(j + 1), out=chosen[i], casting="unsafe")
+            np.equal(chosen[:i], chosen[i], out=hits[:i])
+            np.copyto(chosen[i], j, where=hits[:i].any(axis=0))
         _sort_columns(chosen)
         rows = np.concatenate([found, chosen.T])
-        key = sum(binom[i][col] for i, col in enumerate(rows.T))
-        found = rows[_first_distinct(rows, key)]
+        # mode="clip" lets take write to out directly; every index is < n.
+        np.take(binom[0], rows[:, 0], out=key, mode="clip")
+        for i in range(1, k):
+            key += np.take(binom[i], rows[:, i], out=spare, mode="clip")
+        first = _first_distinct(rows, key)
+        found = rows if first is None else rows[first]
         if found.shape[0] >= budget:
-            return found[:budget]
+            return found[:budget].astype(np.intp)
         if stop == limit:
             raise RuntimeError(
                 f"could not draw {budget} distinct supports from C({n},{k})={math.comb(n, k)}"
@@ -262,7 +290,29 @@ def _screen_copy(gram_full: np.ndarray, k: int) -> tuple[float, int, np.ndarray,
     return top, shift, gram32, 4.0 * k * (k + 1) * float(np.finfo(np.float32).eps)
 
 
-def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[float, float]:
+def _chunk_skips(gram32: np.ndarray, n: int, block: np.ndarray, lower: np.float32,
+                 upper: np.float32, work: dict | None = None) -> np.ndarray:
+    """Per support of block, whether _cholesky_succeeds holds for both
+    G - lower I and upper I - G (G its block of the flat float32 gram32)
+    in one pass over (k, k, 2B), the second half the negated first; only
+    lower triangles are gathered and read.  The arrays live in work."""
+    size, k = block.shape
+    idx, row = _buffer(work, "idx", (k, size), np.intp), _buffer(work, "row", (k, size), np.float32)
+    mats = _buffer(work, "mats", (k, k, 2 * size), np.float32)
+    for i in range(k):
+        np.take(gram32, np.add(block.T[: i + 1], n * block[:, i], out=idx[: i + 1]),
+                out=row[: i + 1], mode="clip")
+        mats[i, : i + 1, :size] = row[: i + 1]
+        np.negative(row[: i + 1], out=mats[i, : i + 1, size:])
+    on_diag = mats.reshape(k * k, 2 * size)[:: k + 1]
+    on_diag[:, :size] -= lower
+    on_diag[:, size:] += upper
+    ok = _cholesky_succeeds(mats)
+    return ok[:size] & ok[size:]
+
+
+def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray,
+                       work: dict | None = None) -> tuple[float, float]:
     """(min, max) eigenvalue over all k x k Gram blocks indexed by supports.
 
     Exactly the extremes of per-block eigvalsh, found without running
@@ -270,11 +320,11 @@ def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[flo
     most about _CHUNK supports, the blocks with the smallest and the
     largest diagonal entries (lambda_min <= min diag <= max diag <=
     lambda_max) go through eigvalsh and give incumbents lo and hi.  Then,
-    chunk by chunk, a block G is skipped when a float32 Cholesky proves
-    that it cannot beat the current extremes: G - (lo + margin) I and
-    (hi - margin) I - G both factor.  The remaining blocks go through the
-    same eigvalsh on the float64 gram_full, so the extremes do not depend
-    on which incumbents were chosen.
+    chunk by chunk, a block G is skipped when _chunk_skips proves in one
+    float32 pass that it cannot beat the current extremes: G - (lo + margin) I
+    and (hi - margin) I - G both factor.  The remaining blocks go through
+    the same eigvalsh on the float64 gram_full, so the extremes do not
+    depend on which incumbents were chosen.  The arrays live in work.
 
     The screen reads a float32 copy of s * gram_full, where s is the power
     of two that puts the largest diagonal entry d into [1, 2): the copy
@@ -319,27 +369,17 @@ def _extreme_gram_eigs(gram_full: np.ndarray, supports: np.ndarray) -> tuple[flo
     step = -(-supports.shape[0] // _CHUNK)
     sample = supports[::step]
     count = min(_INCUMBENTS, sample.shape[0])
+    sample_diag = diag[np.ascontiguousarray(sample.T)]  # (k, count): elementwise reductions
     solve(sample[np.union1d(
-        np.argpartition(diag[sample].min(axis=1), count - 1)[:count],
-        np.argpartition(-diag[sample].max(axis=1), count - 1)[:count],
+        np.argpartition(sample_diag.min(axis=0), count - 1)[:count],
+        np.argpartition(-sample_diag.max(axis=0), count - 1)[:count],
     )])
 
-    on_diag = (np.arange(k), np.arange(k))
     for start in range(0, supports.shape[0], _CHUNK):
         block = supports[start : start + _CHUNK]
-        # The blocks come out (k, k, B), so each Cholesky step is a few
-        # vector ops; only the lower triangle is gathered, and only it is
-        # read.
-        cols = np.ascontiguousarray(block.T)
-        offsets = cols * n
-        lower = np.empty((k, k, block.shape[0]), dtype=np.float32)
-        for i in range(k):
-            np.take(gram32, offsets[i] + cols[: i + 1], out=lower[i, : i + 1])
-        upper = np.negative(lower)
         margin = slack * max(top, lam_max)
-        lower[on_diag] -= np.float32(math.ldexp(lam_min + margin, shift))
-        upper[on_diag] += np.float32(math.ldexp(lam_max - margin, shift))
-        skip = _cholesky_succeeds(lower) & _cholesky_succeeds(upper)
+        skip = _chunk_skips(gram32, n, block, np.float32(math.ldexp(lam_min + margin, shift)),
+                            np.float32(math.ldexp(lam_max - margin, shift)), work)
         if not skip.all():
             solve(block[~skip])
     return lam_min, lam_max
@@ -464,14 +504,16 @@ def empirical_ric(
     sqrt_m = math.sqrt(m)
     uric_per_trial: list[float] = []
     lric_per_trial: list[float] = []
+    work: dict = {}  # buffers reused across the trials of this call
     for trial in range(trials):
         matrix = sample_matrix(m, n, seed, trial)
         gram_full = matrix.entries.T @ matrix.entries
         if exhaustive:
             lam_min, lam_max = _exhaustive_extremes(gram_full, k)
         else:
-            supports = _sampled_supports(n, k, support_budget, seed, trial)
-            lam_min, lam_max = _extreme_gram_eigs(gram_full, supports)
+            # One call, so each trial's supports are freed before the next's.
+            lam_min, lam_max = _extreme_gram_eigs(
+                gram_full, _sampled_supports(n, k, support_budget, seed, trial, work), work)
         uric_per_trial.append(math.sqrt(max(lam_max, 0.0)) / sqrt_m)
         lric_per_trial.append(math.sqrt(max(lam_min, 0.0)) / sqrt_m)
 

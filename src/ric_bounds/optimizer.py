@@ -538,10 +538,9 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
 def lifted_upper_objective(c3: float, shape: ProblemShape, config=None) -> float:
     """Upper objective at a fixed c3 > 0 with the (gamma, nu) pair minimized out.
 
-    Every c3 > 0 yields a valid upper bound; the best one is found by
-    :func:`optimize_upper`.  Tends to the closed-form simple upper bound
-    as c3 -> 0.
-    """
+    Every c3 > 0 yields a valid upper bound (the best: :func:`optimize_upper`;
+    the simple bound as c3 -> 0).  :func:`minimize_inner` solves to inner_tol
+    absolute, so far out in c3 the value can be loose relative to its size."""
     report = minimize_inner(c3, shape.beta, config)
     return signed_value(c3, shape.alpha, report.best_value, SphBranch.PLUS)
 
@@ -549,10 +548,9 @@ def lifted_upper_objective(c3: float, shape: ProblemShape, config=None) -> float
 def lifted_lower_objective(c3: float, shape: ProblemShape, config=None) -> float:
     """Lower objective at a fixed c3 > 0 with the (gamma, nu) pair minimized out.
 
-    Every c3 > 0 yields a valid lower bound, so the family is maximized
-    over c3 by :func:`optimize_lower`.  Tends to the closed-form simple
-    lower bound as c3 -> 0.
-    """
+    Every c3 > 0 yields a valid lower bound (the best: :func:`optimize_lower`;
+    the simple bound as c3 -> 0).  :func:`minimize_inner` solves to inner_tol
+    absolute, so far out in c3 the value can be loose relative to its size."""
     report = minimize_inner(c3, shape.beta, config)
     return -signed_value(c3, shape.alpha, report.best_value, SphBranch.MINUS)
 

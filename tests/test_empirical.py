@@ -1,7 +1,10 @@
 """Finite-size oracle: keyed sampling, per-support extremes, aggregation."""
 
+import hashlib
 import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ from ric_bounds.empirical import (
     MODE_EXHAUSTIVE,
     MODE_SAMPLED,
     _cholesky_succeeds,
+    _chunk_skips,
     _exhaustive_extremes,
     _extreme_gram_eigs,
     _first_distinct,
@@ -189,6 +193,47 @@ class TestEmpiricalRic:
         with pytest.raises(ValueError):
             empirical_ric(m, n, k, trials, budget, seed=1)
 
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "d8f178288f3377a380abaec731c8638ffcebc55fb02c799484dd7a16f46b7c10"),
+        (1, "ce8bb7cc0b5eacb3199b81f5512e4dff050023416673f159d655a161cccaabb6"),
+        (2, "637eb1bd462d3e5d8009fb89c4ca9bc602215621531878dc1a74e7ff01de4458"),
+    ])
+    def test_sampled_benchmark_shape_is_pinned(self, seed, digest):
+        """The per-trial extremes at the benchmark's sampled shape, to the
+        bit: the sampler, the screen and its buffers must not move them."""
+        uric, lric = empirical_ric(40, 80, 8, trials=20, support_budget=20000, seed=seed)
+        assert uric.mode == MODE_SAMPLED
+        got = hashlib.sha256(repr((uric.per_trial, lric.per_trial)).encode()).hexdigest()
+        assert got == digest
+
+    def test_concurrent_calls_match_serial(self):
+        """Each call owns its buffers: two threads running sampled calls
+        side by side return what serial calls return."""
+        args = [(10, 30, 3, 6, 900, seed) for seed in (4, 5)]
+        want = [empirical_ric(*a) for a in args]
+        got = [[] for _ in args]
+
+        def run(index):
+            for _ in range(3):
+                got[index].append(empirical_ric(*args[index]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(args))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert want[0][0].mode == MODE_SAMPLED
+        for results, (uric, lric) in zip(got, want):
+            assert len(results) == 3
+            for u, l in results:
+                assert u.per_trial == uric.per_trial and l.per_trial == lric.per_trial
+
 
 class TestSampledUnderstatesExhaustive:
     def test_sampled_extremes_are_inside_exact_ones(self):
@@ -211,8 +256,10 @@ class TestSamplerMatchesReference:
         # almost all repeats and the first batch cannot finish the draw.
         # (200, 40, 300) and (300, 150, 200): C(n, k) >= 2^64, so the
         # colex key wraps.
+        # (256, 5, 300) and (257, 5, 300): the sampler's dtype widens from
+        # uint8 to uint16 between them.
         [(80, 8, 20000), (40, 4, 5000), (12, 6, 900), (24, 3, 50), (24, 3, 400), (12, 3, 219),
-         (200, 40, 300), (300, 150, 200)],
+         (200, 40, 300), (300, 150, 200), (256, 5, 300), (257, 5, 300)],
     )
     @pytest.mark.parametrize("seed,trial", [(0, 0), (1, 3), (7, 19)])
     def test_bit_for_bit(self, n, k, budget, seed, trial):
@@ -367,6 +414,32 @@ def _lex_supports(n, k):
     return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
 
 
+def _fixed_shift_case(where, seed):
+    """(n, k, gram32, lex supports, lower, upper, want) at fixed float32
+    shifts, want the blocks whose separate factorizations of G - lower I
+    and upper I - G both succeed (the unfused chunked screen)."""
+    n, k = 40, 4
+    gram = _random_gram(20, n, seed)
+    supports = _lex_supports(n, k)
+    _, shift, gram32, _ = _screen_copy(gram, k)
+    eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+    lo, hi = eigs[:, 0].min(), eigs[:, -1].max()
+    lower, upper = {"tight": (lo * 1.001, hi * 0.999),
+                    "lower at the median": (np.median(eigs[:, 0]), 2.0 * hi),
+                    "upper at the median": (0.5 * lo, np.median(eigs[:, -1]))}[where]
+    lower, upper = np.float32(math.ldexp(lower, shift)), np.float32(math.ldexp(upper, shift))
+    cols = supports.T
+    lower_blocks = np.empty((k, k, supports.shape[0]), dtype=np.float32)
+    for i in range(k):
+        lower_blocks[i, : i + 1] = gram32[cols[i] * n + cols[: i + 1]]
+    upper_blocks = np.negative(lower_blocks)
+    on_diag = (np.arange(k), np.arange(k))
+    lower_blocks[on_diag] -= lower
+    upper_blocks[on_diag] += upper
+    want = _cholesky_succeeds(lower_blocks) & _cholesky_succeeds(upper_blocks)
+    return n, k, gram32, supports, lower, upper, want
+
+
 class TestLatticeScreen:
     """The exhaustive path: the lex subset lattice screens every support
     with the pivots of the chunked float32 Cholesky, and its extremes are
@@ -411,28 +484,29 @@ class TestLatticeScreen:
         """At fixed shifts the lattice skips exactly the blocks whose two
         float32 Cholesky factorizations succeed; at a median shift about
         half the blocks fail on that side, at each of the k pivots."""
-        n, k = 40, 4
-        gram = _random_gram(20, n, seed)
-        supports = _lex_supports(n, k)
-        _, shift, gram32, _ = _screen_copy(gram, k)
-        eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
-        lo, hi = eigs[:, 0].min(), eigs[:, -1].max()
-        lower, upper = {"tight": (lo * 1.001, hi * 0.999),
-                        "lower at the median": (np.median(eigs[:, 0]), 2.0 * hi),
-                        "upper at the median": (0.5 * lo, np.median(eigs[:, -1]))}[where]
-        lower, upper = np.float32(math.ldexp(lower, shift)), np.float32(math.ldexp(upper, shift))
-        cols = supports.T
-        lower_blocks = np.empty((k, k, supports.shape[0]), dtype=np.float32)
-        for i in range(k):
-            lower_blocks[i, : i + 1] = gram32[cols[i] * n + cols[: i + 1]]
-        upper_blocks = np.negative(lower_blocks)
-        on_diag = (np.arange(k), np.arange(k))
-        lower_blocks[on_diag] -= lower
-        upper_blocks[on_diag] += upper
-        want = _cholesky_succeeds(lower_blocks) & _cholesky_succeeds(upper_blocks)
+        n, k, gram32, supports, lower, upper, want = _fixed_shift_case(where, seed)
         got = _lattice_skips(gram32, n, k, lower, upper)
         assert np.array_equal(got, want)
         assert 0 < want.sum() < want.size
+
+    @pytest.mark.parametrize("where", ["tight", "lower at the median", "upper at the median"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fused_chunks_equal_both_sides(self, where, seed):
+        """The chunked screen factors both sides in one (k, k, 2B) pass and
+        skips exactly the blocks whose two separate factorizations
+        succeed, chunk by chunk down to a last chunk shorter than _CHUNK,
+        on buffers last used by a larger call (k = 6 on a full chunk)."""
+        n, k, gram32, supports, lower, upper, want = _fixed_shift_case(where, seed)
+        assert 0 < supports.shape[0] % _CHUNK < _CHUNK
+        work = {}
+        big = np.array(list(itertools.islice(itertools.combinations(range(n), 6), _CHUNK)),
+                       dtype=np.intp)
+        _chunk_skips(gram32, n, big, np.float32(-1.0), np.float32(1.0), work)
+        got = np.concatenate([_chunk_skips(gram32, n, supports[start : start + _CHUNK], lower,
+                                           upper, work)
+                              for start in range(0, supports.shape[0], _CHUNK)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(_chunk_skips(gram32, n, supports, lower, upper), want)
 
     @pytest.mark.parametrize("m,n,k", SHAPES)
     @pytest.mark.parametrize("duplicate", [False, True])
