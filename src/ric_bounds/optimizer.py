@@ -18,12 +18,14 @@ c3; at fixed c3 it is jointly convex in (delta, nu).
   bound on t that stays active with the slope pointing outward ends the
   run; at the upper end the result, at c3 = 4 hi exactly, is
   non-converged.  The c3 -> 0 limit (the simple bound) is always a
-  candidate, so no value is worse than the simple bound, and a run that
-  ends at the lower end is non-convergence unless that limit wins.
+  candidate, so no value is worse than the simple bound.  A run that ends
+  at the lower end is non-convergence unless that limit wins, and one cut
+  off by max_evals stays non-converged even where the limit wins.
 
 * inner solve at a fixed c3 (:func:`minimize_inner`, used by
-  :func:`lifted_upper_objective` and :func:`lifted_lower_objective`):
-  damped Newton (:func:`_newton_inner`) in (delta, nu) from the analytic
+  :func:`lifted_upper_objective` and :func:`lifted_lower_objective`): the
+  same Newton run with t pinned to log c3 and no spherical term, so V = K
+  and the stop test is relative to K.  It starts from the analytic
   c3 -> 0 optimum and then, if that run ends non-converged with budget
   left, from the c3 -> inf optimum.
 
@@ -75,10 +77,6 @@ _C3_FLOOR = 64.0 * _EPS
 # sqrt(float max)/2; so hi is at most sqrt(float max)/8, about 1.68e153.
 _C3_CEILING = math.sqrt(sys.float_info.max) / 8.0
 
-# Multistart seed range for delta = gamma - c3/2 and nu (log-spaced).
-_SEED_LO = 1e-3
-_SEED_HI = 30.0
-
 # Newton line search: largest fraction of the way to delta = 0 or nu = 0
 # that one step may go, Armijo sufficient-decrease constant, and the step
 # length below which the search gives up.
@@ -97,18 +95,18 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
                                                      "c3_bracket", "max_evals"))):
     """Search tolerances and budgets.
 
-    inner_tol: the joint solve has converged once the Newton decrement
+    inner_tol: a Newton run has converged once the Newton decrement
         satisfies lambda^2/2 <= inner_tol min(1, S), a second-order bound
-        on V - min V relative to S = K + |I_sph|, the scale of V's terms;
-        :func:`minimize_inner` asks lambda^2/2 <= inner_tol of K.  Both
-        then take that last Newton step as well.
+        on V - min V relative to S = K + |I_sph|, the scale of V's terms
+        (S = K in :func:`minimize_inner`, which has no spherical term).
+        It then takes that last Newton step as well.
     outer_tol: the largest Newton step in t = log c3, so a relative
         change of c3, with which the joint solve may stop.
     multistart_grid: 1 (the default) runs the joint solve once, from a
         fixed c3 per family; N >= 2 also runs it from N values of c3
         log-spaced over [lo, hi], ends included, and keeps the lowest V.
-        :func:`minimize_inner` with N >= 2 also runs Newton from an
-        N x N log grid in (delta, nu) and keeps the lowest K.
+        :func:`minimize_inner` ignores it: at fixed c3, K is convex in
+        (delta, nu), so a converged run has reached min K.
     c3_bracket: (lo, hi) for c3; the joint solve runs on the bracket
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
         where the objective's slope still points outward.  lo must be at
@@ -231,67 +229,6 @@ def _nelder_mead(f, x0, step, tol, max_evals):
                         best_x, best_f = p2, f2
 
 
-def _seed_grid(count: int) -> list[float]:
-    ratio = _SEED_HI / _SEED_LO
-    return [_SEED_LO * ratio ** (i / (count - 1)) for i in range(count)]
-
-
-def _newton_inner(c3: float, beta: float, delta: float, nu: float, tol: float,
-                  max_evals: int):
-    """Damped Newton on (delta, nu) = (gamma - c3/2, nu) from the given
-    start; returns (delta, nu, K, evaluations, converged, K_c).
-
-    Each evaluation is one delta-form i_uric_inner call.  A step goes at
-    most _TO_BOUNDARY of the way to delta = 0 or nu = 0 and is halved until
-    K falls, and by _ARMIJO times the predicted decrease (Armijo); a trial
-    whose 2 nu gamma overflows is halved without an evaluation.  The solve
-    has converged once the Newton decrement lambda^2 = g' H^{-1} g
-    satisfies lambda^2/2 <= tol, which bounds K - min K to second order
-    as K is convex, and the Newton step in nu is smaller than nu (near
-    nu = 0, K_nn ~ nu^(-1/2) hides K_nu ~ beta - 1 from the decrement).
-    It then tries that last Newton step once more, without halving, and
-    keeps it if it passes the same test: near the minimum the step cuts
-    the gap to about its square, so the reported K is within rounding of
-    min K where the step is taken.
-    """
-    value, (g_d, g_n), (h_dd, h_dn, h_nn), slope = i_uric_inner(
-        c3, beta, None, nu, delta=delta, derivatives=True)
-    evals = 1
-    while True:
-        det = h_dd * h_nn - h_dn * h_dn
-        if not (h_dd > 0.0 and det > 0.0):  # curvature lost to underflow
-            return delta, nu, value, evals, False, slope
-        step_d = (h_dn * g_n - h_nn * g_d) / det
-        step_n = (h_dn * g_d - h_dd * g_n) / det
-        decrement = -(g_d * step_d + g_n * step_n)  # lambda^2
-        converged = 0.5 * decrement <= tol and abs(step_n) < nu
-        t = 1.0
-        if step_d < 0.0:
-            t = min(t, -_TO_BOUNDARY * delta / step_d)
-        if step_n < 0.0:
-            t = min(t, -_TO_BOUNDARY * nu / step_n)
-        while True:
-            if evals >= max_evals or t < _MIN_STEP:
-                return delta, nu, value, evals, converged, slope
-            trial_delta = delta + t * step_d
-            trial_nu = nu + t * step_n
-            if _evaluable(c3, trial_delta, trial_nu):
-                trial = i_uric_inner(c3, beta, None, trial_nu, delta=trial_delta,
-                                     derivatives=True)
-                evals += 1
-                # Strictly lower as well: where K's rounding hides the
-                # Armijo term, an equal K is no progress.
-                if trial[0] < value and trial[0] <= value - _ARMIJO * t * decrement:
-                    break
-            if converged:
-                return delta, nu, value, evals, True, slope
-            t *= 0.5
-        delta, nu = trial_delta, trial_nu
-        if converged:
-            return delta, nu, trial[0], evals, True, trial[3]
-        value, (g_d, g_n), (h_dd, h_dn, h_nn), slope = trial
-
-
 def _evaluable(c3: float, delta: float, nu: float) -> bool:
     """Whether the derivative path can evaluate K at (delta, nu): both are
     positive and 2 nu gamma = nu (c3 + 2 delta) is finite (where it
@@ -303,44 +240,40 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
                    start: tuple[float, float] | None = None) -> OptimReport:
     """Minimize K = J - c3/2 over delta = gamma - c3/2 > 0, nu >= 0.
 
-    Damped Newton from the (delta, nu) starts of :func:`_newton_starts`:
+    The joint solve's Newton run (:func:`_joint_newton`) with t = log c3
+    pinned and no spherical term, so its stop test is relative to K.  It
+    runs from the (delta, nu) starts of :func:`_newton_starts` in turn:
     ``start`` when given (an estimate of the optimum, such as the optimum
     at a nearby c3), the analytic c3 -> 0 optimum, then the c3 -> inf
     optimum.  A start with delta <= 0 or nu <= 0, or whose 2 nu gamma
-    overflows, is skipped without an evaluation.  The next start runs only while every
-    run so far has ended non-converged with budget left, and the lowest K
-    is kept.  The convergence test is local, so ``start`` should estimate
-    the optimum; from starts up to 1000x off in delta and nu a converged
-    run still ends within about inner_tol of min K, so such a start costs
-    evaluations, not accuracy.
-
-    With multistart_grid = N >= 2 it ignores ``start``, runs every start
-    that fits the budget, the N x N log grid in (delta, nu) after the
-    analytic ones, and keeps the lowest K.  Deterministic for identical
-    inputs; ``restarts_used`` counts the starts run.
+    overflows, is skipped without an evaluation.  The next start runs only
+    while every run so far has ended non-converged with budget left, and
+    the lowest K is kept.  K is jointly convex in (delta, nu), so a run
+    that converges has reached min K from any start, and multistart_grid
+    does not apply.  ``restarts_used`` counts the starts run.
     """
     cfg = config or DEFAULT_CONFIG
     if not c3 > 0.0:
         raise ValueError(f"minimize_inner requires c3 > 0, got {c3!r}")
 
-    grid = cfg.multistart_grid
+    t = math.log(c3)
     best = None
     evals = starts = 0
-    for seed in _newton_starts(c3, beta, start if grid == 1 else None, grid):
-        run = _newton_inner(c3, beta, *seed, cfg.inner_tol, cfg.max_evals - evals)
-        evals, starts = evals + run[3], starts + 1
-        if best is None or run[2] < best[2]:
+    for seed in _newton_starts(c3, beta, start):
+        run = _joint_newton(beta, None, None, t, {t: c3}, cfg, cfg.max_evals - evals, [seed])
+        evals, starts = evals + run[4], starts + 1
+        if best is None or run[0][0] < best[0][0]:
             best = run
-        if (run[4] and grid == 1) or evals >= cfg.max_evals:
+        if run[5] or evals >= cfg.max_evals:
             break
-    delta, nu, value, _evals, converged, slope = best
+    point, _c3, delta, nu, _evals, converged, _edge = best
     return OptimReport(
         best_params=LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta),
-        best_value=value,
+        best_value=point[3],
         evaluations=evals,
         converged=converged,
         restarts_used=starts,
-        slope=slope,
+        slope=point[4][0] / c3,
     )
 
 
@@ -361,14 +294,12 @@ def _asymptotic_seed(c3: float, beta: float) -> tuple[float, float]:
     return beta / (2.0 * c3), nu
 
 
-def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None,
-                   grid: int = 1):
-    """The (delta, nu) starts of the Newton inner solve, in order: a given
-    start, the c3 -> 0 optimum, the c3 -> inf optimum, then for grid >= 2
-    the points of the grid x grid log grid, by delta and then nu.  All but
-    the c3 -> 0 start are skipped unless they pass :func:`_evaluable`, and
-    the c3 -> inf optimum also when it is the given start, whose run it
-    would repeat.  Lazy, so a start that is not needed costs nothing."""
+def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None):
+    """The (delta, nu) starts of a Newton run at c3, in order: a given
+    start, the c3 -> 0 optimum, then the c3 -> inf optimum.  All but the
+    c3 -> 0 start are skipped unless they pass :func:`_evaluable`, and the
+    c3 -> inf optimum also when it is the given start, whose run it would
+    repeat.  Lazy, so a start that is not needed costs nothing."""
     if start is not None and _evaluable(c3, *start):
         yield start
     g0, threshold_sq = _limit_seed(beta)
@@ -376,9 +307,6 @@ def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None,
     seed = _asymptotic_seed(c3, beta)
     if seed != start and _evaluable(c3, *seed):
         yield seed
-    if grid >= 2:
-        points = _seed_grid(grid)
-        yield from ((d, n) for d in points for n in points if _evaluable(c3, d, n))
 
 
 def _limit_params(beta: float) -> LiftedParams:
@@ -387,8 +315,8 @@ def _limit_params(beta: float) -> LiftedParams:
     return LiftedParams(c3=0.0, gamma=gamma, nu=threshold_sq / (4.0 * gamma))
 
 
-def _joint_point(c3: float, beta: float, alpha: float, branch: SphBranch, delta: float,
-                 nu: float):
+def _joint_point(c3: float, beta: float, alpha: float | None, branch: SphBranch | None,
+                 delta: float, nu: float):
     """(V, S, resolution, K, gradient, Hessian) in (t = log c3, delta, nu)
     from one i_uric_inner call.  The Hessian is (V_tt, V_td, V_tn, K_dd,
     K_dn, K_nn).  S = K + |I_sph| sums the magnitudes of V's terms (K's are
@@ -397,10 +325,11 @@ def _joint_point(c3: float, beta: float, alpha: float, branch: SphBranch, delta:
     error into s eps: |fl(V) - V| <= 2 (1 + s) eps S (at most
     1.6 (1 + s) eps S at 2,500 random points checked in mpmath).  Twice
     that, resolution is the least fall in V that two computed values show.
+    With branch None there is no spherical term, so V = S = K.
     """
     k, (k_d, k_n), (k_dd, k_dn, k_nn), k_c, (k_cc, k_cd, k_cn) = i_uric_inner(
         c3, beta, None, nu, delta=delta, derivatives=2)
-    i, i_c, i_cc = i_sph_derivatives(c3, alpha, branch)
+    i, i_c, i_cc = (0.0, 0.0, 0.0) if branch is None else i_sph_derivatives(c3, alpha, branch)
     g_t = c3 * (k_c + i_c)
     hess = (c3 * c3 * (k_cc + i_cc) + g_t, c3 * k_cd, c3 * k_cn, k_dd, k_dn, k_nn)
     scale = k + abs(i)
@@ -436,33 +365,42 @@ def _joint_step(grad, hess, t: float, t_lo: float, t_hi: float):
     return step_t, end_t, step_d, step_n, decrement, slope
 
 
-def _joint_newton(beta: float, alpha: float, branch: SphBranch, t: float,
-                  ends: dict[float, float], cfg: OptimizerConfig, max_evals: int):
+def _joint_newton(beta: float, alpha: float | None, branch: SphBranch | None, t: float,
+                  ends: dict[float, float], cfg: OptimizerConfig, max_evals: int,
+                  seeds: list[tuple[float, float]] | None = None):
     """Projected damped Newton on V from t, within the keys of ``ends``,
-    which map the bounds on t to their exact c3.  Returns (V, c3, delta,
-    nu, K, evaluations, converged, edge), edge true where the run stopped
-    at a bound with the slope pointing out.  (delta, nu) starts at the
-    analytic optimum of the nearer limit (c3 -> 0 up to c3 = 1, else
-    c3 -> inf), and moves once to the other where K has no curvature
-    left.  The line search is :func:`_newton_inner`'s on :func:`_joint_step`.
-    The run has converged once lambda^2/2 <= max(inner_tol min(1, S),
-    resolution) (see :func:`_joint_point`), the nu step is below nu, and
-    the t step is at most outer_tol or lambda^2/2 at most resolution (where
-    V is flat in t no line search places c3 more finely); it then tries
-    that last step once more, without halving.
+    which map the bounds on t to their exact c3 (one key pins t).  Returns
+    (point, c3, delta, nu, evaluations, converged, edge): point is
+    :func:`_joint_point`'s tuple at the reported iterate, and edge is true
+    where the run stopped at a bound with the slope pointing out.
+
+    (delta, nu) starts at the first of ``seeds``, by default the analytic
+    optimum of the nearer limit (c3 -> 0 up to c3 = 1, else c3 -> inf)
+    and then the other, and moves on to the next seed where K has no
+    curvature left.  Each step is :func:`_joint_step`'s.  It goes at most
+    _TO_BOUNDARY of the way to delta = 0 or nu = 0 and is halved until V
+    falls, and by _ARMIJO times the predicted decrease (Armijo); a trial
+    that fails :func:`_evaluable` is halved without an evaluation.  The
+    run has converged once lambda^2/2 <= max(inner_tol min(1, S),
+    resolution) (see :func:`_joint_point`), the nu step is below nu (near
+    nu = 0, K_nn ~ nu^(-1/2) hides K_nu ~ beta - 1 from the decrement),
+    and the t step is at most outer_tol or lambda^2/2 at most resolution
+    (where V is flat in t no line search places c3 more finely).  It then
+    tries that last step once more, without halving.
     """
     t_lo, t_hi = min(ends), max(ends)
     c3 = ends.get(t) or math.exp(t)
-    seeds = list(_newton_starts(c3, beta, None))[::-1 if c3 > 1.0 else 1]
+    if seeds is None:
+        seeds = list(_newton_starts(c3, beta, None))[::-1 if c3 > 1.0 else 1]
     delta, nu = seeds.pop(0)
     point = _joint_point(c3, beta, alpha, branch, delta, nu)
     evals = 1
     while True:
-        value, scale, resolution, k, grad, hess = point
+        value, scale, resolution, _k, grad, hess = point
         step = _joint_step(grad, hess, t, t_lo, t_hi)
         if step is None:
             if not seeds or evals >= max_evals:
-                return value, c3, delta, nu, k, evals, False, False
+                return point, c3, delta, nu, evals, False, False
             delta, nu = seeds.pop(0)
             point = _joint_point(c3, beta, alpha, branch, delta, nu)
             evals += 1
@@ -479,7 +417,7 @@ def _joint_newton(beta: float, alpha: float, branch: SphBranch, t: float,
             a = min(a, -_TO_BOUNDARY * nu / step_n)
         while True:
             if evals >= max_evals or a < _MIN_STEP:
-                return value, c3, delta, nu, k, evals, converged, edge
+                return point, c3, delta, nu, evals, converged, edge
             trial_t = end_t if a == 1.0 else t + a * step_t
             trial_c3 = ends.get(trial_t) or math.exp(trial_t)
             trial_d, trial_n = delta + a * step_d, nu + a * step_n
@@ -489,11 +427,11 @@ def _joint_newton(beta: float, alpha: float, branch: SphBranch, t: float,
                 if trial[0] < value and trial[0] <= value - _ARMIJO * a * decrement:
                     break
             if converged:
-                return value, c3, delta, nu, k, evals, True, edge
+                return point, c3, delta, nu, evals, True, edge
             a *= 0.5
         t, c3, delta, nu, point = trial_t, trial_c3, trial_d, trial_n, trial
         if converged:
-            return trial[0], c3, delta, nu, trial[3], evals, True, edge
+            return point, c3, delta, nu, evals, True, edge
 
 
 def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> BoundResult:
@@ -513,20 +451,22 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     for c3 in starts:
         t = min(max(math.log(c3), t_lo), t_hi)
         run = _joint_newton(beta, alpha, branch, t, ends, cfg, cfg.max_evals - evals)
-        evals += run[5]
-        if best is None or run[:2] < best[:2]:
+        evals += run[4]
+        if best is None or (run[0][0], run[1]) < (best[0][0], best[1]):
             best = run
         if evals >= cfg.max_evals:
             break
-    _value, c3, delta, nu, k, _evals, converged, edge = best
-    value = signed_value(c3, alpha, k, branch)
+    point, c3, delta, nu, _evals, converged, edge = best
+    value = signed_value(c3, alpha, point[3], branch)
     # The c3 -> 0 limit is exactly the simple bound; listing it with c3 = 0
     # both enforces never-worse-than-limit and wins ties at the smallest c3.
     limit_value = simple_upper(shape).value if upper else -simple_lower(shape).value
     if limit_value <= value:
-        # A run that stopped at the upper end has its optimum at or past
-        # 4 hi: non-converged, whatever the limit.
-        value, params, converged = limit_value, _limit_params(beta), not (edge and c3 == 4.0 * hi)
+        # The limit is the optimum where the run converged or stopped at
+        # the lower end; a run that stopped at the upper end has its
+        # optimum at or past 4 hi: non-converged, whatever the limit.
+        converged = (converged or edge) and not (edge and c3 == 4.0 * hi)
+        value, params = limit_value, _limit_params(beta)
     else:
         # A run that stopped at either end has its optimum past that end.
         params = LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta)
@@ -539,8 +479,7 @@ def lifted_upper_objective(c3: float, shape: ProblemShape, config=None) -> float
     """Upper objective at a fixed c3 > 0 with the (gamma, nu) pair minimized out.
 
     Every c3 > 0 yields a valid upper bound (the best: :func:`optimize_upper`;
-    the simple bound as c3 -> 0).  :func:`minimize_inner` solves to inner_tol
-    absolute, so far out in c3 the value can be loose relative to its size."""
+    the simple bound as c3 -> 0)."""
     report = minimize_inner(c3, shape.beta, config)
     return signed_value(c3, shape.alpha, report.best_value, SphBranch.PLUS)
 
@@ -549,8 +488,7 @@ def lifted_lower_objective(c3: float, shape: ProblemShape, config=None) -> float
     """Lower objective at a fixed c3 > 0 with the (gamma, nu) pair minimized out.
 
     Every c3 > 0 yields a valid lower bound (the best: :func:`optimize_lower`;
-    the simple bound as c3 -> 0).  :func:`minimize_inner` solves to inner_tol
-    absolute, so far out in c3 the value can be loose relative to its size."""
+    the simple bound as c3 -> 0)."""
     report = minimize_inner(c3, shape.beta, config)
     return -signed_value(c3, shape.alpha, report.best_value, SphBranch.MINUS)
 

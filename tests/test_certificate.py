@@ -24,6 +24,7 @@ from ric_bounds import (
     i_uric_inner,
     lifted_lower_objective,
     lifted_upper_objective,
+    minimize_inner,
     optimize_lower,
 )
 
@@ -85,9 +86,16 @@ def test_inner_solves_are_tight(upper_grid, lower_grid):
 
 def test_reported_c3_is_locally_optimal(upper_grid, lower_grid):
     """No c3 * (1 +- 1e-3) or c3 * (1 +- 0.1), with (gamma, nu) solved
-    again, beats the reported bound by more than inner_tol."""
+    again, beats the reported bound by more than inner_tol times its size
+    (at most 1).  Besides the reference grids this covers lower (0.3, 0.9)
+    searched with c3 up to 1e150, whose maximum of 1.36e-10 at c3 ~ 4.03e8
+    a fixed-c3 solve resolves only where it stops relative to K."""
     tol = OptimizerConfig().inner_tol
     cells = _cells(upper_grid, lower_grid)
+    far = ProblemShape.from_rho(0.3, 0.9)
+    far_result = optimize_lower(far, OptimizerConfig(c3_bracket=(1e-4, 1e150)))
+    assert far_result.converged and far_result.params.c3 > 1e8
+    cells.append((False, far.alpha, far.beta, far_result))
     margins = {True: math.inf, False: math.inf}
     for upper, alpha, beta, result in cells:
         shape = ProblemShape(alpha, beta)
@@ -96,7 +104,8 @@ def test_reported_c3_is_locally_optimal(upper_grid, lower_grid):
             value = objective(result.params.c3 * factor, shape)
             margin = value - result.value if upper else result.value - value
             margins[upper] = min(margins[upper], margin)
-            assert margin >= -tol, (upper, alpha, beta, result.params.c3, factor, margin)
+            assert margin >= -tol * min(1.0, abs(result.value)), (
+                upper, alpha, beta, result.params.c3, factor, margin)
     print(f"smallest margin over {len(cells)} cells: "
           f"upper {margins[True]:.2e}, lower {margins[False]:.2e}")
 
@@ -139,6 +148,23 @@ def test_far_lower_maxima_match_extended_precision(alpha):
                                          mp.mpf(p.nu) / factor)
             neighbour = -(j - c3 / 2 + i_sph_mp(c3, alpha, False)) / mp.sqrt(alpha)
             assert neighbour < exact, (factor, float(neighbour))
+
+
+def test_fixed_c3_objective_far_out_matches_extended_precision():
+    """Lower (0.3, 0.9) peaks at c3 ~ 4.02859e8 with a bound of 1.36e-10.
+    There the fixed-c3 objective equals the bound minimized over
+    (gamma, nu) at 60 digits to 1e-9 relative: the inner solve stops on a
+    decrement relative to K, not on one absolute at inner_tol = 1e-10,
+    which once ended 4.7% below it."""
+    shape = ProblemShape.from_rho(0.3, 0.9)
+    c3 = 4.02859e8
+    value = lifted_lower_objective(c3, shape)
+    p = minimize_inner(c3, shape.beta).best_params
+    with mp.workdps(60):
+        c = mp.mpf(c3)
+        _g, _n, j = inner_minimum_mp(c, shape.beta, c / 2 + mp.mpf(p.delta), mp.mpf(p.nu))
+        best = -(j - c / 2 + i_sph_mp(c, shape.alpha, False)) / mp.sqrt(shape.alpha)
+        assert abs(value - best) <= 1e-9 * abs(best), (value, float(best))
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3])

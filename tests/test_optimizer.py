@@ -1,16 +1,20 @@
-"""Nested search: damped Newton inner solves, the outer root search over
-c3, determinism, dominance, and local-optimality certificates."""
+"""The damped Newton solves: at a fixed c3 (minimize_inner) and per cell
+in (log c3, delta, nu), determinism, dominance, honest convergence flags
+and local-optimality certificates."""
 
 import math
 import random
 
 import pytest
+from mpmath import mp
 
 from ric_bounds import (
     OptimizerConfig,
     ProblemShape,
     bounds_lifted,
     i_uric_inner,
+    lifted_lower_objective,
+    lifted_upper_objective,
     minimize_inner,
     optimize_lower,
     optimize_upper,
@@ -23,17 +27,13 @@ from ric_bounds.bounds_simple import BETA_MAX, BETA_MIN, KIND_LOWER_LIFTED, KIND
 from ric_bounds.cli import DEFAULT_ALPHAS, DEFAULT_RHOS
 
 from oracles import (
+    CERT_DPS,
+    inner_minimum_mp,
     nelder_mead_lists,
     optimize_outer_scan,
     single_simplex_inner,
     upper_value_from_inner,
 )
-
-# The inner config of the criterion-10 sweep argv (--multistart 2 ...).
-CRITERION_10_CONFIG = OptimizerConfig(
-    multistart_grid=2, outer_tol=1e-3, inner_tol=1e-8, max_evals=4000
-)
-
 
 class TestConfig:
     def test_defaults(self):
@@ -108,20 +108,12 @@ class TestMinimizeInner:
             assert report.best_params.nu >= 0.0
 
     def test_budget_and_restart_accounting(self):
-        """restarts_used counts the starts run: one converged start by
-        default; under multistart the two analytic starts and the 16 grid
-        points, or as many as the budget reaches, which it then spends."""
+        """restarts_used counts the starts run: of the two analytic starts,
+        only the first runs where it converges."""
+        assert len(list(optimizer._newton_starts(0.5, 0.1, None))) == 2
         report = minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=160))
-        assert report.restarts_used == 1
+        assert report.converged and report.restarts_used == 1
         assert report.evaluations <= 160
-        assert len(list(optimizer._newton_starts(0.5, 0.1, None, 4))) == 18
-        report = minimize_inner(0.5, 0.1, OptimizerConfig(multistart_grid=4))
-        assert report.restarts_used == 18
-        assert report.evaluations < OptimizerConfig().max_evals
-        cfg = OptimizerConfig(multistart_grid=4, max_evals=report.evaluations // 2)
-        capped = minimize_inner(0.5, 0.1, cfg)
-        assert 1 < capped.restarts_used < 18
-        assert capped.evaluations == cfg.max_evals
 
     def test_asymptotic_start_given_is_not_run_twice(self):
         seed = optimizer._asymptotic_seed(256.0, 0.3)
@@ -129,62 +121,51 @@ class TestMinimizeInner:
         assert starts[0] == seed and starts.count(seed) == 1 and len(starts) == 2
         assert sorted(optimizer._newton_starts(256.0, 0.3, None)) == sorted(starts)
 
-    @pytest.mark.parametrize("max_evals", [7, 40])
-    def test_budget_floor_of_three_per_start(self, max_evals):
-        """Below 3 evaluations per start the budget still binds: multistart
-        runs only the starts it reaches instead of overspending on every
-        one; one start keeps within it too."""
-        cfg = OptimizerConfig(multistart_grid=4, max_evals=max_evals)
-        starts = len(list(optimizer._newton_starts(0.5, 0.1, None, cfg.multistart_grid)))
-        assert cfg.max_evals < 3 * starts
-        report = minimize_inner(0.5, 0.1, cfg)
-        assert report.evaluations <= cfg.max_evals
-        assert 1 <= report.restarts_used < starts
-        assert minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals)).evaluations <= max_evals
-
-    @pytest.mark.parametrize("grid", [2, 3, 4])
-    def test_multistart_keeps_within_budget(self, grid):
-        for max_evals in range(1, 41):
-            cfg = OptimizerConfig(multistart_grid=grid, max_evals=max_evals)
-            assert minimize_inner(0.5, 0.1, cfg).evaluations <= max_evals, max_evals
-
     EDGE_C3 = [1e-4, 1.0, 256.0, 4096.0]
     EDGE_BETA = [BETA_MIN, 0.5, BETA_MAX]
 
     @pytest.mark.parametrize("grid", [2, 3, 4])
     def test_multistart_not_worse_than_default(self, grid):
-        """Multistart's first runs are the default solve's runs, so its
-        lowest J is never higher, bit for bit; every report has a finite
-        float slope."""
+        """multistart_grid no longer changes minimize_inner's report, bit
+        for bit: at fixed c3, K is convex in (delta, nu), so one converged
+        run reaches min K.  This holds with and without a start, and under
+        every budget from 1 to 40 evaluations, which each report keeps."""
         rng = random.Random(6)
         points = [(1e-4, 1e-6), (256.0, 0.999999), (0.2577, 0.01), (4.0283, 0.03)]
         points += [
             (math.exp(rng.uniform(math.log(1e-4), math.log(256.0))),
              math.exp(rng.uniform(math.log(1e-4), math.log(0.9))))
-            for _ in range(60)
+            for _ in range(20)
         ]
         points += [(c3, beta) for c3 in self.EDGE_C3 for beta in self.EDGE_BETA]
-        cfg = OptimizerConfig(multistart_grid=grid)
         for c3, beta in points:
-            default = minimize_inner(c3, beta)
-            multi = minimize_inner(c3, beta, cfg)
-            assert multi.best_value <= default.best_value, (c3, beta)
-            for report in (default, multi):
-                assert isinstance(report.slope, float) and math.isfinite(report.slope), (c3, beta)
+            for start in (None, (0.3, 2.0)):
+                default = minimize_inner(c3, beta, start=start)
+                multi = minimize_inner(c3, beta, OptimizerConfig(multistart_grid=grid),
+                                       start=start)
+                assert multi == default, (c3, beta, start)
+                assert isinstance(default.slope, float) and math.isfinite(default.slope)
+        for max_evals in range(1, 41):
+            cfg = OptimizerConfig(multistart_grid=grid, max_evals=max_evals)
+            report = minimize_inner(0.5, 0.1, cfg, start=(1e6, 1e6))
+            assert report.evaluations <= max_evals, max_evals
+            assert report == minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals),
+                                            start=(1e6, 1e6))
 
     @pytest.mark.parametrize("c3", EDGE_C3)
     @pytest.mark.parametrize("beta", EDGE_BETA)
     def test_single_start_at_domain_edges(self, c3, beta):
-        """The one analytic start reaches the 16-start grid's minimum at the
-        edges of beta and far out in c3, where gamma - c3/2 and J cancel."""
+        """The first analytic start converges at the edges of beta and far
+        out in c3, where gamma - c3/2 and J cancel, to the minimum of K
+        found by Newton at 50 digits, to 1e-14 relative."""
         report = minimize_inner(c3, beta)
-        grid = minimize_inner(c3, beta, OptimizerConfig(multistart_grid=4))
-        assert report.converged
-        assert report.best_params.gamma > c3 / 2.0
-        assert report.best_params.nu > 0.0
-        assert math.isfinite(report.best_value)
-        assert report.best_value <= grid.best_value + 1e-9
-        assert report.evaluations < grid.evaluations
+        p = report.best_params
+        assert report.converged and report.restarts_used == 1
+        assert p.gamma > c3 / 2.0 and p.nu > 0.0
+        with mp.workdps(CERT_DPS):
+            _g, _n, j = inner_minimum_mp(c3, beta, mp.mpf(c3) / 2 + mp.mpf(p.delta), p.nu)
+            k_min = j - mp.mpf(c3) / 2
+            assert abs(report.best_value - k_min) <= 1e-14 * k_min, float(k_min)
 
     @pytest.mark.parametrize("beta", [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX])
     def test_newton_not_worse_than_single_simplex(self, beta):
@@ -342,16 +323,20 @@ class TestWarmStart:
 
     def test_lowest_of_the_nonconverged_runs_is_kept(self, monkeypatch):
         """With scripted Newton runs that all stop non-converged with budget
-        left: every start runs, in order, and the lowest J wins."""
+        left: every start runs, in order, with t pinned to log c3 and no
+        spherical term, and the lowest K wins; its slope is g_t / c3."""
         c3, beta = 4.0, 0.1
         seen = []
 
-        def scripted(c3_, beta_, delta, nu, tol, max_evals):
+        def scripted(beta_, alpha, branch, t, ends, cfg, max_evals, seeds):
+            assert (alpha, branch, ends) == (None, None, {t: c3}) and t == math.log(c3)
+            (delta, nu), = seeds
             seen.append((delta, nu, max_evals))
             value = (2.0, 1.0, 3.0)[len(seen) - 1]
-            return delta, nu, value, 5, False, -value
+            point = (value, value, 0.0, value, (-value * c3, 0.0, 0.0), None)
+            return point, c3, delta, nu, 5, False, False
 
-        monkeypatch.setattr(optimizer, "_newton_inner", scripted)
+        monkeypatch.setattr(optimizer, "_joint_newton", scripted)
         report = minimize_inner(c3, beta, OptimizerConfig(max_evals=100), start=(0.3, 0.7))
         cold_seed, far_seed = seen[1][:2], seen[2][:2]
         assert [entry[2] for entry in seen] == [100, 95, 90]
@@ -360,15 +345,6 @@ class TestWarmStart:
         assert report.best_value == 1.0 and report.slope == -1.0 and not report.converged
         assert report.best_params.nu == cold_seed[1]
         assert (report.evaluations, report.restarts_used) == (15, 3)
-
-    @pytest.mark.parametrize("config", [CRITERION_10_CONFIG, OptimizerConfig(multistart_grid=3)],
-                             ids=["multistart-2", "multistart-3"])
-    def test_multistart_ignores_start(self, config):
-        for c3, beta in [(1e-4, 0.01), (0.2577, 0.01), (4.0283, 0.03), (256.0, 0.9)]:
-            cold = minimize_inner(c3, beta, config)
-            assert minimize_inner(c3, beta, config, start=(0.3, 2.0)) == cold
-            assert minimize_inner(c3, beta, config, start=self._optimum(cold)) == cold
-
 
 
 class TestOptimizeUpper:
@@ -596,18 +572,20 @@ class TestJointSolve:
         monkeypatch.setattr(optimizer, "_joint_point", flat)
         ends = {-10.0: math.exp(-10.0), 10.0: math.exp(10.0)}
         run = optimizer._joint_newton(0.1, 0.5, SphBranch.PLUS, 0.0, ends, OptimizerConfig(), 100)
-        _value, c3, delta, nu, _k, evals, converged, edge = run
+        _point, c3, delta, nu, evals, converged, edge = run
         assert converged and not edge and evals <= 4
         assert (delta, nu) == (1.0, 1.0) and c3 != math.exp(3.0)
 
     def test_multistart_keeps_the_lowest_run_ties_to_the_smallest_c3(self, monkeypatch):
-        """Scripted runs (V, c3, delta, nu, K, evaluations, converged, edge):
-        the lowest V wins, ties to the smallest c3, and every run's
-        evaluations count."""
-        runs = iter([(0.5, 1.0, 0.1, 1.0, 0.0, 3, True, False),
-                     (0.3, 2.0, 0.1, 1.0, 0.0, 4, True, False),
-                     (0.3, 1.5, 0.1, 1.0, 0.0, 5, False, False),
-                     (0.4, 0.5, 0.1, 1.0, 0.0, 6, True, False)])
+        """Scripted runs (point, c3, delta, nu, evaluations, converged,
+        edge), with V = point[0] and K = point[3]: the lowest V wins, ties to
+        the smallest c3, and every run's evaluations count."""
+
+        def run(value, c3, evals, converged):
+            return (value, 1.0, 0.0, 0.0, None, None), c3, 0.1, 1.0, evals, converged, False
+
+        runs = iter([run(0.5, 1.0, 3, True), run(0.3, 2.0, 4, True), run(0.3, 1.5, 5, False),
+                     run(0.4, 0.5, 6, True)])
         monkeypatch.setattr(optimizer, "_joint_newton", lambda *args: next(runs))
         result = optimize_upper(ProblemShape(0.5, 0.05), OptimizerConfig(multistart_grid=3))
         assert (result.params.c3, result.converged, result.evaluations) == (1.5, False, 18)
@@ -624,6 +602,28 @@ class TestJointSolve:
         limit = optimize_upper(shape, OptimizerConfig(c3_bracket=(4.0, 100.0)))
         assert limit.params.c3 == 0.0 and limit.converged
         assert limit.value == simple_upper(shape).value
+
+    def test_budget_capped_limit_is_not_converged(self):
+        """Where the c3 -> 0 limit beats a run that stopped on its budget,
+        the cell is non-converged: lower (0.1, 0.05) capped at 2
+        evaluations reports the limit, 0.303077, and not the maximum
+        0.444607 at c3 ~ 0.459.  Over the 60 default cells capped at 1-11
+        evaluations, a limit reported as converged is the uncapped
+        optimum."""
+        shape = ProblemShape.from_rho(0.1, 0.05)
+        capped = optimize_lower(shape, OptimizerConfig(max_evals=2))
+        assert capped.params.c3 == 0.0 and not capped.converged
+        free = optimize_lower(shape)
+        assert free.converged and free.value == pytest.approx(0.444607, abs=1e-6)
+        for alpha in DEFAULT_ALPHAS:
+            for rho in DEFAULT_RHOS:
+                shape = ProblemShape.from_rho(alpha, rho)
+                for optimize in (optimize_upper, optimize_lower):
+                    free = optimize(shape)
+                    for cap in range(1, 12):
+                        capped = optimize(shape, OptimizerConfig(max_evals=cap))
+                        if capped.converged and capped.params.c3 == 0.0:
+                            assert free.params.c3 == 0.0, (alpha, rho, optimize, cap)
 
 
 class TestOuterSearchMatchesReference:
@@ -759,18 +759,16 @@ class TestSimplexMatchesReference:
 
 class TestEvaluationContract:
     """Every counted evaluation is one call of ``optimizer.i_uric_inner``,
-    and each call makes exactly two ``bounds_lifted.erfcx`` calls, under
-    the default config and under multistart alike.  The benchmark's count
+    and each call makes exactly two ``bounds_lifted.erfcx`` calls: in the
+    joint solve under the default config and under multistart alike, and
+    in minimize_inner, so in lifted_*_objective.  The benchmark's count
     cross-check rests on this."""
 
     SHAPES = [ProblemShape(0.5, 0.05), ProblemShape.from_rho(0.1, 0.7),
               ProblemShape.from_rho(0.9, 0.9)]
 
-    @pytest.mark.parametrize("config", [OptimizerConfig(), OptimizerConfig(multistart_grid=2)],
-                             ids=["default", "multistart-2"])
-    @pytest.mark.parametrize("optimize", [optimize_upper, optimize_lower],
-                             ids=["upper", "lower"])
-    def test_evaluations_count_calls(self, config, optimize, monkeypatch):
+    @pytest.fixture
+    def counts(self, monkeypatch):
         counts = {"i_uric_inner": 0, "erfcx": 0}
 
         def counted(module, name):
@@ -784,8 +782,41 @@ class TestEvaluationContract:
 
         counted(optimizer, "i_uric_inner")
         counted(bounds_lifted, "erfcx")
+        return counts
+
+    @pytest.mark.parametrize("config", [OptimizerConfig(), OptimizerConfig(multistart_grid=2)],
+                             ids=["default", "multistart-2"])
+    @pytest.mark.parametrize("optimize", [optimize_upper, optimize_lower],
+                             ids=["upper", "lower"])
+    def test_evaluations_count_calls(self, config, optimize, counts):
         for shape in self.SHAPES:
             counts.update(i_uric_inner=0, erfcx=0)
             result = optimize(shape, config)
             assert result.evaluations == counts["i_uric_inner"] > 0, shape
             assert counts["erfcx"] == 2 * counts["i_uric_inner"], shape
+
+    C3S = [1e-4, 0.5, 256.0, 4.02859e8]
+
+    @pytest.mark.parametrize("start", [None, (1e6, 1e6)], ids=["cold", "stalled-start"])
+    def test_inner_evaluations_count_calls(self, start, counts):
+        """From the cold starts, and where a start with no curvature left
+        falls back to them."""
+        for shape in self.SHAPES:
+            for c3 in self.C3S:
+                counts.update(i_uric_inner=0, erfcx=0)
+                report = minimize_inner(c3, shape.beta, start=start)
+                assert report.evaluations == counts["i_uric_inner"] > 0, (shape, c3)
+                assert counts["erfcx"] == 2 * counts["i_uric_inner"], (shape, c3)
+                assert start is None or report.restarts_used >= 2, (shape, c3)
+
+    @pytest.mark.parametrize("objective", [lifted_upper_objective, lifted_lower_objective],
+                             ids=["upper", "lower"])
+    def test_objective_evaluations_count_calls(self, objective, counts):
+        """Each objective value is one inner solve's worth of calls."""
+        for shape in self.SHAPES:
+            for c3 in self.C3S:
+                evaluations = minimize_inner(c3, shape.beta).evaluations
+                counts.update(i_uric_inner=0, erfcx=0)
+                objective(c3, shape)
+                assert counts["i_uric_inner"] == evaluations, (shape, c3)
+                assert counts["erfcx"] == 2 * evaluations, (shape, c3)
