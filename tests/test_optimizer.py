@@ -128,8 +128,7 @@ class TestMinimizeInner:
     def test_multistart_not_worse_than_default(self, grid):
         """multistart_grid no longer changes minimize_inner's report, bit
         for bit: at fixed c3, K is convex in (delta, nu), so one converged
-        run reaches min K.  This holds with and without a start, and under
-        every budget from 1 to 40 evaluations, which each report keeps."""
+        run reaches min K.  This holds with and without a start."""
         rng = random.Random(6)
         points = [(1e-4, 1e-6), (256.0, 0.999999), (0.2577, 0.01), (4.0283, 0.03)]
         points += [
@@ -145,12 +144,19 @@ class TestMinimizeInner:
                                        start=start)
                 assert multi == default, (c3, beta, start)
                 assert isinstance(default.slope, float) and math.isfinite(default.slope)
-        for max_evals in range(1, 41):
-            cfg = OptimizerConfig(multistart_grid=grid, max_evals=max_evals)
-            report = minimize_inner(0.5, 0.1, cfg, start=(1e6, 1e6))
-            assert report.evaluations <= max_evals, max_evals
-            assert report == minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals),
-                                            start=(1e6, 1e6))
+
+    @pytest.mark.parametrize("grid", [2, 3, 4])
+    def test_multistart_keeps_within_budget(self, grid):
+        """Under every budget from 1 to 40 evaluations, cold and from a
+        start with no curvature (which falls back to the analytic starts),
+        the report keeps within the budget and equals the default's."""
+        for start in (None, (1e6, 1e6)):
+            for max_evals in range(1, 41):
+                cfg = OptimizerConfig(multistart_grid=grid, max_evals=max_evals)
+                report = minimize_inner(0.5, 0.1, cfg, start=start)
+                assert report.evaluations <= max_evals, (start, max_evals)
+                assert report == minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals),
+                                                start=start)
 
     @pytest.mark.parametrize("c3", EDGE_C3)
     @pytest.mark.parametrize("beta", EDGE_BETA)
