@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .specfun import erfinv
 
@@ -97,6 +98,19 @@ def _check_beta(beta: float) -> None:
         )
 
 
+@lru_cache(maxsize=256)
+def _threshold(beta: float) -> float:
+    """u = erfinv(1 - beta), which all four bound kinds at a shape share.
+
+    Cached because erfinv is a Newton loop that costs several
+    microseconds, and a sweep needs u at each shape for every kind (the
+    lifted kinds through their c3 -> 0 limit).  An out-of-domain beta
+    raises, and a call that raises is not cached.
+    """
+    _check_beta(beta)
+    return erfinv(1.0 - beta)
+
+
 def tail_term(beta: float) -> float:
     """sqrt(beta + 2 u / (sqrt(pi) e^{u^2})) with u = erfinv(1 - beta).
 
@@ -104,8 +118,7 @@ def tail_term(beta: float) -> float:
     E[h^2; |h| >= sqrt(2) u], hence strictly inside (0, 1) and
     nondecreasing in beta.
     """
-    _check_beta(beta)
-    u = erfinv(1.0 - beta)
+    u = _threshold(beta)
     return math.sqrt(beta + 2.0 * u / (_SQRT_PI * math.exp(u * u)))
 
 
@@ -116,8 +129,7 @@ def optimal_nu(beta: float) -> float:
 
     over nu >= 0; at this nu the objective equals tail_term(beta)^2.
     """
-    _check_beta(beta)
-    return math.sqrt(2.0) * erfinv(1.0 - beta)
+    return math.sqrt(2.0) * _threshold(beta)
 
 
 def _simple_term(shape: ProblemShape) -> float:

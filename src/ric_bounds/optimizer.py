@@ -37,7 +37,6 @@ families, so every reported value is a valid bound.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections import namedtuple
@@ -277,12 +276,11 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     )
 
 
-@functools.lru_cache(maxsize=256)
 def _limit_seed(beta: float) -> tuple[float, float]:
     """(g0, t^2) of the analytic c3 -> 0 optimum: g0 = tail_term(beta)/2 and
-    t = optimal_nu(beta).  Cached because the upper and lower solves of a
-    shape share beta, as do repeated inner solves, and the two erfinv
-    calls cost about half as much as a whole Newton inner solve."""
+    t = optimal_nu(beta).  Both read the per-beta erfinv threshold that
+    bounds_simple caches, so after the first call at a beta this is two
+    cache hits and a few multiplications."""
     threshold = optimal_nu(beta)
     return 0.5 * tail_term(beta), threshold * threshold
 
@@ -325,11 +323,18 @@ def _joint_point(c3: float, beta: float, alpha: float | None, branch: SphBranch 
     error into s eps: |fl(V) - V| <= 2 (1 + s) eps S (at most
     1.6 (1 + s) eps S at 2,500 random points checked in mpmath).  Twice
     that, resolution is the least fall in V that two computed values show.
-    With branch None there is no spherical term, so V = S = K.
+    With branch None there is no spherical term, so V = S = K, and t is
+    pinned (:func:`minimize_inner`), so K's c3 row is not evaluated: it
+    reads 0, and the t step is 0 whatever the row.
     """
-    k, (k_d, k_n), (k_dd, k_dn, k_nn), k_c, (k_cc, k_cd, k_cn) = i_uric_inner(
-        c3, beta, None, nu, delta=delta, derivatives=2)
-    i, i_c, i_cc = (0.0, 0.0, 0.0) if branch is None else i_sph_derivatives(c3, alpha, branch)
+    if branch is None:
+        k, (k_d, k_n), (k_dd, k_dn, k_nn), k_c = i_uric_inner(
+            c3, beta, None, nu, delta=delta, derivatives=1)
+        k_cc = k_cd = k_cn = i = i_c = i_cc = 0.0
+    else:
+        k, (k_d, k_n), (k_dd, k_dn, k_nn), k_c, (k_cc, k_cd, k_cn) = i_uric_inner(
+            c3, beta, None, nu, delta=delta, derivatives=2)
+        i, i_c, i_cc = i_sph_derivatives(c3, alpha, branch)
     g_t = c3 * (k_c + i_c)
     hess = (c3 * c3 * (k_cc + i_cc) + g_t, c3 * k_cd, c3 * k_cn, k_dd, k_dn, k_nn)
     scale = k + abs(i)

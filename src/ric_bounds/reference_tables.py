@@ -88,32 +88,25 @@ def _key(table_id: int, alpha: float, rho: float, quantity: str):
 @lru_cache(maxsize=1)
 def _load() -> tuple[tuple[ReferenceEntry, ...], dict]:
     path = os.path.join(os.path.dirname(__file__), "data", "tables.csv")
-    with open(path, encoding="ascii") as asset:
-        lines = asset.read().splitlines()
+    with open(path, "rb") as asset:
+        lines = asset.read().decode("ascii").splitlines()
     entries = []
     index = {}
+    counts: dict[tuple[int, str], int] = {}
     for line in lines:
         if not line:
             continue
         table_id, alpha, rho, quantity, value = line.split(",")
-        entry = ReferenceEntry(
-            table_id=int(table_id),
-            alpha=float(alpha),
-            rho=float(rho),
-            quantity=quantity,
-            value=float(value),
-        )
-        if entry.quantity not in QUANTITIES:
-            raise ValueError(f"unknown quantity in reference asset: {entry.quantity!r}")
-        key = _key(entry.table_id, entry.alpha, entry.rho, entry.quantity)
+        entry = ReferenceEntry(int(table_id), float(alpha), float(rho), quantity, float(value))
+        if quantity not in QUANTITIES:
+            raise ValueError(f"unknown quantity in reference asset: {quantity!r}")
+        key = _key(entry.table_id, entry.alpha, entry.rho, quantity)
         if key in index:
             raise ValueError(f"duplicate reference cell {key}")
         index[key] = entry.value
         entries.append(entry)
+        counts[entry.table_id, quantity] = counts.get((entry.table_id, quantity), 0) + 1
 
-    counts: dict[tuple[int, str], int] = {}
-    for entry in entries:
-        counts[(entry.table_id, entry.quantity)] = counts.get((entry.table_id, entry.quantity), 0) + 1
     if counts != _EXPECTED_COUNTS:
         wrong = {
             key: (counts.get(key), _EXPECTED_COUNTS.get(key))
@@ -162,12 +155,22 @@ _KIND_SOURCES = {
 }
 
 
+@lru_cache(maxsize=1)
+def _kind_index() -> dict:
+    """(kind, alpha, rho) -> reference bound, taken from the first source in
+    _KIND_SOURCES order that carries the cell.  Built on first use, so
+    loading the tables does not pay for it."""
+    index = _load()[1]
+    by_kind = {}
+    for kind, sources in _KIND_SOURCES.items():
+        for source in sources:
+            for (table_id, alpha, rho, quantity), value in index.items():
+                if (table_id, quantity) == source:
+                    by_kind.setdefault((kind, alpha, rho), value)
+    return by_kind
+
+
 def reference_for_kind(kind: str, alpha: float, rho: float) -> float | None:
     """Reference bound for a (kind, alpha, rho) cell, or None when the
     grids do not carry it."""
-    for table_id, quantity in _KIND_SOURCES.get(kind, ()):
-        try:
-            return lookup(table_id, alpha, rho, quantity)
-        except KeyError:
-            continue
-    return None
+    return _kind_index().get((kind, round(alpha, 6), round(rho, 6)))

@@ -1,5 +1,7 @@
 """Closed-form bound formulas against reference cells and their identities."""
 
+import contextlib
+import io
 import math
 
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from ric_bounds import (
     ProblemShape,
+    bounds_simple,
+    cli,
     erf,
     erfc,
     optimal_nu,
@@ -145,3 +149,53 @@ class TestOptimalNu:
         for i in range(301):
             nu = 6.0 * i / 300.0
             assert target <= objective(nu) + 1e-9
+
+
+class TestThresholdCache:
+    """u(beta) = erfinv(1 - beta) is computed once per beta per process."""
+
+    @pytest.fixture
+    def erfinv_calls(self, monkeypatch):
+        """Counts the erfinv calls of bounds_simple from a cleared cache."""
+        calls = []
+        erfinv = bounds_simple.erfinv
+
+        def counted(p):
+            calls.append(p)
+            return erfinv(p)
+
+        monkeypatch.setattr(bounds_simple, "erfinv", counted)
+        bounds_simple._threshold.cache_clear()
+        yield calls
+        bounds_simple._threshold.cache_clear()
+
+    def test_default_sweep_calls_erfinv_once_per_beta(self, erfinv_calls):
+        """The 30 default shapes have 20 distinct betas; all four kinds at a
+        shape share its threshold, so a second sweep calls erfinv 0 times."""
+        counts = []
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(["sweep"])
+            counts.append(len(erfinv_calls))
+            erfinv_calls.clear()
+        assert counts == [20, 0]
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-7, 1.0 - 1e-7, 1.0, math.nan])
+    def test_out_of_domain_still_raises_after_cached_calls(self, erfinv_calls, beta):
+        for b in (bounds_simple.BETA_MIN, 0.3, bounds_simple.BETA_MAX):
+            tail_term(b)
+            optimal_nu(b)
+        cached = bounds_simple._threshold.cache_info().currsize
+        for fn in (tail_term, optimal_nu, tail_term):
+            with pytest.raises(ValueError, match="beta must lie in"):
+                fn(beta)
+        assert bounds_simple._threshold.cache_info().currsize == cached == 3
+        assert len(erfinv_calls) == 3
+
+    def test_cached_values_equal_direct_ones(self, erfinv_calls):
+        for beta in (1e-6, 0.005, 0.09, 0.45, 0.81, 1.0 - 1e-6):
+            u = bounds_simple.erfinv(1.0 - beta)
+            first, again = tail_term(beta), tail_term(beta)
+            assert first == again == math.sqrt(
+                beta + 2.0 * u / (math.sqrt(math.pi) * math.exp(u * u)))
+            assert optimal_nu(beta) == math.sqrt(2.0) * u

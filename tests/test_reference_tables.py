@@ -3,7 +3,8 @@
 import pytest
 
 from ric_bounds import bt_relation, entries, lookup
-from ric_bounds.reference_tables import reference_for_kind
+from ric_bounds.bounds_simple import BOUND_KINDS
+from ric_bounds.reference_tables import _KIND_SOURCES, reference_for_kind
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -98,3 +99,35 @@ class TestGridConsistency:
         assert reference_for_kind("lower-lifted", 0.7, 0.05) == 0.5166
         assert reference_for_kind("lower-lifted", 0.7, 0.7) is None
         assert reference_for_kind("upper-simple", 0.2, 0.1) is None
+
+
+def lookup_chain(kind, alpha, rho):
+    """reference_for_kind as a chain of lookups: the first source in
+    _KIND_SOURCES order that carries the cell, None where none does."""
+    for table_id, quantity in _KIND_SOURCES.get(kind, ()):
+        try:
+            return lookup(table_id, alpha, rho, quantity)
+        except KeyError:
+            continue
+    return None
+
+
+class TestReferenceForKind:
+    def test_equals_the_lookup_chain_at_every_asset_cell(self):
+        cells = sorted({(e.alpha, e.rho) for e in entries()})
+        assert len(cells) == 30
+        found = 0
+        for kind in BOUND_KINDS:
+            for alpha, rho in cells:
+                expected = lookup_chain(kind, alpha, rho)
+                assert reference_for_kind(kind, alpha, rho) == expected, (kind, alpha, rho)
+                found += expected is not None
+        assert found == 25 + 25 + 20 + 20
+
+    @pytest.mark.parametrize("alpha,rho", [
+        (0.1 + 0.2, 0.1), (0.7, 0.1 + 0.2), (0.1 * 3, 0.3 * 3), (0.9, 0.7 + 1e-9),
+        (0.2, 0.1), (0.5, 0.2), (0.3, 0.3000015), (1.0, 0.5), (0.0, 0.0),
+    ])
+    def test_equals_the_lookup_chain_off_the_cells(self, alpha, rho):
+        for kind in (*BOUND_KINDS, "no-such-kind"):
+            assert reference_for_kind(kind, alpha, rho) == lookup_chain(kind, alpha, rho)

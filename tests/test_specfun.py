@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ric_bounds import specfun
 from ric_bounds.specfun import erf, erfc, erfcx, erfinv
 
 from oracles import (
@@ -123,6 +124,16 @@ class TestErfcx:
         ])
         mismatches = [x for x in map(float, xs) if erfcx(x) != erfcx_trap_loop(x)]
         assert mismatches == []
+
+    def test_mid_range_literals_match_the_trapezoidal_terms(self):
+        """The written-out kernel's constants are 2 w and (k h)^2 of
+        _TRAP_TERMS, in order, then h, pi, the correction threshold and
+        2 pi/h, so the literals cannot drift from the terms."""
+        expected = [c for w, kh2 in specfun._TRAP_TERMS for c in (2.0 * w, kh2)]
+        expected += [specfun._TRAP_H, math.pi, specfun._TRAP_NO_CORRECTION, 2.0,
+                     specfun._TWO_PI_OVER_H]
+        consts = [c for c in specfun._erfcx_trap.__code__.co_consts if type(c) is float]
+        assert consts == [1.0] + expected
 
 
 class TestErfinv:
