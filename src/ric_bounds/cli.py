@@ -14,9 +14,9 @@ Three subcommands:
   mode a FAIL is conclusive but a pass is reported as "no violation
   found (sampled)".
 
-Exit codes: 0 success, 2 invalid shape/dimensions or optimizer flags
-(argparse usage errors also exit 2), 3 optimizer non-convergence or
-failed sweep rows (values are still printed).
+Exit codes: 0 success, 2 invalid shape/dimensions, optimizer flags or a
+non-finite --slack (argparse usage errors also exit 2), 3 optimizer
+non-convergence or failed sweep rows (values are still printed).
 
 All output is deterministic for identical invocations: floats render
 with %.6g, nothing timestamps, and sweep cells are computed one after
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -108,8 +109,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="largest Newton step in log c3 (a relative change of c3) "
                              "with which the solve stops")
     parser.add_argument("--multistart", type=int, default=defaults.multistart_grid,
-                        help="1 solves once from a fixed c3; N >= 2 also solves from N "
-                             "c3 log-spaced over [c3-min, c3-max] and keeps the best")
+                        help="accepted (N >= 1) and ignored: each bound is one solve "
+                             "from a fixed start")
     parser.add_argument("--c3-min", type=float, default=defaults.c3_bracket[0])
     parser.add_argument("--c3-max", type=float, default=defaults.c3_bracket[1])
     parser.add_argument("--max-evals", type=int, default=defaults.max_evals,
@@ -251,6 +252,8 @@ def _cmd_empirical(args, out) -> int:
             raise ValueError(f"--trials must be >= 1, got {args.trials}")
         if args.support_budget < 1:
             raise ValueError(f"--support-budget must be >= 1, got {args.support_budget}")
+        if not math.isfinite(args.slack):
+            raise ValueError(f"--slack must be finite, got {args.slack}")
         shape = ProblemShape(alpha=m / n, beta=k / n)
         config = _config_from_args(args)
     except ValueError as exc:

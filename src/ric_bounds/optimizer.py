@@ -8,26 +8,29 @@ paper's J without c3/2, which would swamp delta ~ beta/(2 c3) at large
 c3; at fixed c3 it is jointly convex in (delta, nu).
 
 * joint solve (:func:`optimize_upper`, :func:`optimize_lower`): one
-  projected damped Newton run per cell in (t = log c3, delta, nu), t
-  bounded to [log(lo/4), log(4 hi)] for the bracket (lo, hi) (Bertsekas,
-  SIAM J. Control Optim. 20, 1982), on the closed-form derivatives of one
-  ``i_uric_inner`` and one ``i_sph_derivatives`` call.  Eliminating
-  (delta, nu) leaves the Schur complement, the exact curvature in t of
-  min over (delta, nu) of V (Boyd & Vandenberghe, Convex Optimization,
-  A.5.5), so the run converges quadratically in all three variables.  A
-  bound on t that stays active with the slope pointing outward ends the
-  run; at the upper end the result, at c3 = 4 hi exactly, is
-  non-converged.  The c3 -> 0 limit (the simple bound) is always a
-  candidate, so no value is worse than the simple bound.  A run that ends
-  at the lower end is non-convergence unless that limit wins, and one cut
-  off by max_evals stays non-converged even where the limit wins.
+  projected damped Newton run per cell in (t = log c3, delta, nu) from
+  one start, a fixed c3 per family and the analytic (delta, nu) optimum
+  of the nearer c3 limit, t bounded to [log(lo/4), log(4 hi)] for the
+  bracket (lo, hi) (Bertsekas, SIAM J. Control Optim. 20, 1982), on the
+  closed-form derivatives of one ``i_uric_inner`` and one
+  ``i_sph_derivatives`` call.  Eliminating (delta, nu) leaves the Schur
+  complement, the exact curvature in t of min over (delta, nu) of V (Boyd
+  & Vandenberghe, Convex Optimization, A.5.5), so the run converges
+  quadratically in all three variables.  A bound on t that stays active
+  with the slope pointing outward ends the run; at the upper end the
+  result, at c3 = 4 hi exactly, is non-converged.  The c3 -> 0 limit
+  (the simple bound) is always a candidate, so no value is worse than the
+  simple bound.  A run that ends at the lower end is non-convergence
+  unless that limit wins, and one cut off by max_evals stays
+  non-converged even where the limit wins.
 
 * inner solve at a fixed c3 (:func:`minimize_inner`, used by
   :func:`lifted_upper_objective` and :func:`lifted_lower_objective`): the
   same Newton run with t pinned to log c3 and no spherical term, so V = K
   and the stop test is relative to K.  It starts from the analytic
   c3 -> 0 optimum and then, if that run ends non-converged with budget
-  left, from the c3 -> inf optimum.
+  left, from the c3 -> inf optimum; it is the only solve with a second
+  start.
 
 Everything is deterministic: start points fixed by the inputs, no
 randomized restarts, and ties between equal-valued optima resolve to the
@@ -101,11 +104,12 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
         It then takes that last Newton step as well.
     outer_tol: the largest Newton step in t = log c3, so a relative
         change of c3, with which the joint solve may stop.
-    multistart_grid: 1 (the default) runs the joint solve once, from a
-        fixed c3 per family; N >= 2 also runs it from N values of c3
-        log-spaced over [lo, hi], ends included, and keeps the lowest V.
-        :func:`minimize_inner` ignores it: at fixed c3, K is convex in
-        (delta, nu), so a converged run has reached min K.
+    multistart_grid: accepted for compatibility (it must be at least 1)
+        and has no effect.  Every solve runs from fixed starts: the joint
+        solve once, from a fixed c3 per family, since restarts from c3
+        spread over the bracket never moved a bound by more than rounding;
+        :func:`minimize_inner` from its own start sequence, since at fixed
+        c3 K is convex in (delta, nu).
     c3_bracket: (lo, hi) for c3; the joint solve runs on the bracket
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
         where the objective's slope still points outward.  lo must be at
@@ -113,9 +117,10 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
         rounding noise, and hi at most sqrt(float max)/8 (about 1.68e153),
         where the spherical term is still finite at 4 hi.
     max_evals: cap on the evaluations of K per cell (per solve in
-        :func:`minimize_inner`), rejected line-search trials included.
-        Each start runs on the budget the earlier ones left; a run that
-        reaches the cap stops there, non-converged.
+        :func:`minimize_inner`), rejected line-search trials included.  A
+        run that reaches the cap stops there, non-converged; in
+        :func:`minimize_inner` each start runs on the budget the earlier
+        ones left.
     """
 
     __slots__ = ()
@@ -248,8 +253,8 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     overflows, is skipped without an evaluation.  The next start runs only
     while every run so far has ended non-converged with budget left, and
     the lowest K is kept.  K is jointly convex in (delta, nu), so a run
-    that converges has reached min K from any start, and multistart_grid
-    does not apply.  ``restarts_used`` counts the starts run.
+    that converges has reached min K from any start.  ``restarts_used``
+    counts the starts run.
     """
     cfg = config or DEFAULT_CONFIG
     if not c3 > 0.0:
@@ -259,7 +264,7 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
     best = None
     evals = starts = 0
     for seed in _newton_starts(c3, beta, start):
-        run = _joint_newton(beta, None, None, t, {t: c3}, cfg, cfg.max_evals - evals, [seed])
+        run = _joint_newton(beta, None, None, t, {t: c3}, cfg, cfg.max_evals - evals, *seed)
         evals, starts = evals + run[4], starts + 1
         if best is None or run[0][0] < best[0][0]:
             best = run
@@ -372,17 +377,16 @@ def _joint_step(grad, hess, t: float, t_lo: float, t_hi: float):
 
 def _joint_newton(beta: float, alpha: float | None, branch: SphBranch | None, t: float,
                   ends: dict[float, float], cfg: OptimizerConfig, max_evals: int,
-                  seeds: list[tuple[float, float]] | None = None):
+                  delta: float, nu: float):
     """Projected damped Newton on V from t, within the keys of ``ends``,
     which map the bounds on t to their exact c3 (one key pins t).  Returns
     (point, c3, delta, nu, evaluations, converged, edge): point is
     :func:`_joint_point`'s tuple at the reported iterate, and edge is true
     where the run stopped at a bound with the slope pointing out.
 
-    (delta, nu) starts at the first of ``seeds``, by default the analytic
-    optimum of the nearer limit (c3 -> 0 up to c3 = 1, else c3 -> inf)
-    and then the other, and moves on to the next seed where K has no
-    curvature left.  Each step is :func:`_joint_step`'s.  It goes at most
+    (delta, nu) starts at the given (delta, nu); where K has no curvature
+    there (:func:`_joint_step` returns None), the run ends at once,
+    non-converged.  Each step is :func:`_joint_step`'s.  It goes at most
     _TO_BOUNDARY of the way to delta = 0 or nu = 0 and is halved until V
     falls, and by _ARMIJO times the predicted decrease (Armijo); a trial
     that fails :func:`_evaluable` is halved without an evaluation.  The
@@ -395,21 +399,13 @@ def _joint_newton(beta: float, alpha: float | None, branch: SphBranch | None, t:
     """
     t_lo, t_hi = min(ends), max(ends)
     c3 = ends.get(t) or math.exp(t)
-    if seeds is None:
-        seeds = list(_newton_starts(c3, beta, None))[::-1 if c3 > 1.0 else 1]
-    delta, nu = seeds.pop(0)
     point = _joint_point(c3, beta, alpha, branch, delta, nu)
     evals = 1
     while True:
         value, scale, resolution, _k, grad, hess = point
         step = _joint_step(grad, hess, t, t_lo, t_hi)
         if step is None:
-            if not seeds or evals >= max_evals:
-                return point, c3, delta, nu, evals, False, False
-            delta, nu = seeds.pop(0)
-            point = _joint_point(c3, beta, alpha, branch, delta, nu)
-            evals += 1
-            continue
+            return point, c3, delta, nu, evals, False, False
         step_t, end_t, step_d, step_n, decrement, slope = step
         edge = (t == t_hi and slope < 0.0) or (t == t_lo and slope > 0.0)
         converged = (0.5 * decrement <= max(cfg.inner_tol * min(1.0, scale), resolution)
@@ -446,22 +442,13 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     branch = SphBranch.PLUS if upper else SphBranch.MINUS
     lo, hi = cfg.c3_bracket
     ends = {math.log(lo / 4.0): lo / 4.0, math.log(4.0 * hi): 4.0 * hi}
-    t_lo, t_hi = min(ends), max(ends)
-    grid = cfg.multistart_grid
-    starts = [_START_C3[upper]]
-    if grid >= 2:
-        starts += [lo * (hi / lo) ** (i / (grid - 1)) for i in range(grid)]
-    best = None
-    evals = 0
-    for c3 in starts:
-        t = min(max(math.log(c3), t_lo), t_hi)
-        run = _joint_newton(beta, alpha, branch, t, ends, cfg, cfg.max_evals - evals)
-        evals += run[4]
-        if best is None or (run[0][0], run[1]) < (best[0][0], best[1]):
-            best = run
-        if evals >= cfg.max_evals:
-            break
-    point, c3, delta, nu, _evals, converged, edge = best
+    t = min(max(math.log(_START_C3[upper]), min(ends)), max(ends))
+    c3 = ends.get(t) or math.exp(t)
+    # The analytic optimum of the nearer limit, or the c3 -> 0 one where
+    # the c3 -> inf one is not evaluable (lower family, beta near 1).
+    delta, nu = list(_newton_starts(c3, beta, None))[-1 if c3 > 1.0 else 0]
+    point, c3, delta, nu, evals, converged, edge = _joint_newton(
+        beta, alpha, branch, t, ends, cfg, cfg.max_evals, delta, nu)
     value = signed_value(c3, alpha, point[3], branch)
     # The c3 -> 0 limit is exactly the simple bound; listing it with c3 = 0
     # both enforces never-worse-than-limit and wins ties at the smallest c3.

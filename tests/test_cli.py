@@ -143,6 +143,12 @@ class TestSweep:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
+    def test_multistart_has_no_effect(self, capsys):
+        """--multistart is accepted and ignored: each bound is one solve."""
+        _, default, _ = run_cli(["sweep"], capsys)
+        _, multi, _ = run_cli(["sweep", "--multistart", "3"], capsys)
+        assert multi == default
+
     def test_lifted_rows_match_single_bounds(self, capsys):
         """The lifted kinds of one shape share inner solves, and the map is
         cleared between shapes; neither may change a printed field."""
@@ -196,6 +202,18 @@ class TestEmpirical:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+    def test_non_finite_slack_exits_2(self, slack, capsys, monkeypatch):
+        """A NaN slack fails both sides and would print a conclusive FAIL;
+        an infinite one decides the verdict alone.  Either is a usage error:
+        one error line naming the flag, nothing on stdout, exit 2."""
+        monkeypatch.setattr(cli, "empirical_ric", None)  # must not be reached
+        argv = ["empirical", "--m", "5", "--n", "8", "--k", "2", "--trials", "2"]
+        code, out, err = run_cli(argv + [f"--slack={slack}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--slack" in err and err.count("\n") == 1
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(self.ARGS + ["--format", "json"], capsys)

@@ -334,9 +334,8 @@ class TestWarmStart:
         c3, beta = 4.0, 0.1
         seen = []
 
-        def scripted(beta_, alpha, branch, t, ends, cfg, max_evals, seeds):
+        def scripted(beta_, alpha, branch, t, ends, cfg, max_evals, delta, nu):
             assert (alpha, branch, ends) == (None, None, {t: c3}) and t == math.log(c3)
-            (delta, nu), = seeds
             seen.append((delta, nu, max_evals))
             value = (2.0, 1.0, 3.0)[len(seen) - 1]
             point = (value, value, 0.0, value, (-value * c3, 0.0, 0.0), None)
@@ -550,18 +549,37 @@ class TestJointSolve:
                 assert capped.value <= free.value
 
     @pytest.mark.parametrize("grid", [2, 3])
-    def test_multistart_keeps_the_best_run(self, grid):
-        """multistart_grid = N runs the default run first and then N more
-        from c3 log-spaced over the bracket, so the bound is never worse,
-        bit for bit, and the result is deterministic."""
+    def test_multistart_grid_has_no_effect(self, grid):
+        """Each cell is one run from one start whatever multistart_grid is:
+        the result, evaluation count included, equals the default's."""
         cfg = OptimizerConfig(multistart_grid=grid)
         for alpha, rho in [(0.5, 0.3), (0.1, 0.7), (0.9, 0.9)]:
             shape = ProblemShape.from_rho(alpha, rho)
-            for optimize, sign in ((optimize_upper, 1.0), (optimize_lower, -1.0)):
-                default, multi = optimize(shape), optimize(shape, cfg)
-                assert sign * multi.value <= sign * default.value
-                assert multi.evaluations > default.evaluations
-                assert optimize(shape, cfg) == multi
+            for optimize in (optimize_upper, optimize_lower):
+                assert optimize(shape, cfg) == optimize(shape)
+
+    def test_no_curvature_at_the_start_ends_the_run(self, monkeypatch):
+        """Where K has no curvature at the start, the run ends there after
+        one evaluation, non-converged, and the c3 -> 0 limit keeps each
+        value on the safe side of its simple bound."""
+        monkeypatch.setattr(optimizer, "_joint_step", lambda *args: None)
+        for alpha, rho in [(0.5, 0.3), (0.1, 0.7), (0.9, 0.9), (1.0, 0.999999)]:
+            shape = ProblemShape.from_rho(alpha, rho)
+            upper, lower = optimize_upper(shape), optimize_lower(shape)
+            assert (upper.converged, upper.evaluations) == (False, 1)
+            assert (lower.converged, lower.evaluations) == (False, 1)
+            assert upper.value <= simple_upper(shape).value
+            assert lower.value >= simple_lower(shape).value
+
+    def test_lower_start_without_the_asymptotic_optimum(self):
+        """Lower (1, 0.999999): at the start c3 = 5 the c3 -> inf optimum
+        fails _evaluable, so the run starts from the c3 -> 0 optimum, and it
+        still converges to the interior maximum."""
+        shape = ProblemShape.from_rho(1.0, 0.999999)
+        assert len(list(optimizer._newton_starts(5.0, shape.beta, None))) == 1
+        result = optimize_lower(shape)
+        assert result.converged and result.value > simple_lower(shape).value
+        assert 40.0 < result.params.c3 < 42.0
 
     def test_flat_in_t_below_resolution_converges(self, monkeypatch):
         """Where V is so flat in t that the decrement is below V's rounding
@@ -577,24 +595,12 @@ class TestJointSolve:
 
         monkeypatch.setattr(optimizer, "_joint_point", flat)
         ends = {-10.0: math.exp(-10.0), 10.0: math.exp(10.0)}
-        run = optimizer._joint_newton(0.1, 0.5, SphBranch.PLUS, 0.0, ends, OptimizerConfig(), 100)
+        start = next(optimizer._newton_starts(1.0, 0.1, None))
+        run = optimizer._joint_newton(0.1, 0.5, SphBranch.PLUS, 0.0, ends, OptimizerConfig(), 100,
+                                      *start)
         _point, c3, delta, nu, evals, converged, edge = run
         assert converged and not edge and evals <= 4
         assert (delta, nu) == (1.0, 1.0) and c3 != math.exp(3.0)
-
-    def test_multistart_keeps_the_lowest_run_ties_to_the_smallest_c3(self, monkeypatch):
-        """Scripted runs (point, c3, delta, nu, evaluations, converged,
-        edge), with V = point[0] and K = point[3]: the lowest V wins, ties to
-        the smallest c3, and every run's evaluations count."""
-
-        def run(value, c3, evals, converged):
-            return (value, 1.0, 0.0, 0.0, None, None), c3, 0.1, 1.0, evals, converged, False
-
-        runs = iter([run(0.5, 1.0, 3, True), run(0.3, 2.0, 4, True), run(0.3, 1.5, 5, False),
-                     run(0.4, 0.5, 6, True)])
-        monkeypatch.setattr(optimizer, "_joint_newton", lambda *args: next(runs))
-        result = optimize_upper(ProblemShape(0.5, 0.05), OptimizerConfig(multistart_grid=3))
-        assert (result.params.c3, result.converged, result.evaluations) == (1.5, False, 18)
 
     def test_run_ending_at_the_lower_end(self):
         """Upper (0.5, 0.1) peaks at c3 ~ 0.40.  With lo/4 = 0.5 the run

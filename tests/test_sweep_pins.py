@@ -1,7 +1,8 @@
 """The benchmark's `sweep` inputs give pinned outputs: the SHA-256 of
 `ric-bounds sweep` stdout on ``perfbench.workloads.sweep_grid(seed)`` at
 seeds 0-9 (seed 0 is the default grid) and each grid's count of rows with
-converged=false.  A change to the solver that moves any byte of a row, or
+converged=false.  The default grid is also pinned under two non-default
+configs: criterion 10's flags and a bracket widened to c3 <= 1e150.  A change to the solver that moves any byte of a row, or
 turns a row converged or non-converged, shows here before it shows as a
 changed digest or failure share in a benchmark run.  The digests hold on
 the platform libm they were taken with (see ROADMAP, item 6's "Not
@@ -49,6 +50,28 @@ def test_sweep_output_is_pinned(seed):
         rc = cli.main(argv)
     rows = list(csv.DictReader(io.StringIO(out.getvalue())))
     digest, failed = PINNED[seed]
+    assert len(rows) == 120 and rc == (3 if failed else 0)
+    assert sum(row["converged"] == "false" for row in rows) == failed
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# flags: (SHA-256 of stdout on the default grid, rows with converged=false)
+PINNED_CONFIGS = {
+    "criterion-10": (["--multistart", "2", "--outer-tol", "1e-3", "--inner-tol", "1e-8",
+                      "--max-evals", "4000"],
+                     "71282741f0e83d1ea8d0a463aca964089a95c88915c5953c4c01cd36eac504b0", 7),
+    "c3-max-1e150": (["--c3-max", "1e150"],
+                     "57000cae8dce98b0f743d39e98dfe104f628532370c65b2c5234564e4696ea9b", 0),
+}
+
+
+@pytest.mark.parametrize("config", sorted(PINNED_CONFIGS))
+def test_non_default_config_output_is_pinned(config):
+    flags, digest, failed = PINNED_CONFIGS[config]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = cli.main(["sweep", *flags])
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
     assert len(rows) == 120 and rc == (3 if failed else 0)
     assert sum(row["converged"] == "false" for row in rows) == failed
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
