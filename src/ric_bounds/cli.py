@@ -16,7 +16,9 @@ Three subcommands:
 
 Exit codes: 0 success, 2 invalid shape/dimensions, optimizer flags or a
 non-finite --slack (argparse usage errors also exit 2), 3 optimizer
-non-convergence or failed sweep rows (values are still printed).
+non-convergence in ``bound``, a ``sweep`` row (or a failed row) or a
+lifted bound of ``empirical``; the last two name each on an ``error:``
+line, and values and the verdict are still printed.
 
 All output is deterministic for identical invocations: floats render
 with %.6g, nothing timestamps, and sweep cells are computed one after
@@ -320,7 +322,11 @@ def _cmd_empirical(args, out) -> int:
         else:
             verdict = "no violation found (sampled)"
         out.write(f"verdict: {verdict}\n")
-    return 0
+    failed = [kind for kind, bound in bounds.items() if not bound.converged]
+    for kind in failed:
+        print(f"error: {kind} at alpha={_fmt(shape.alpha)} beta={_fmt(shape.beta)}: "
+              "optimizer did not converge", file=sys.stderr)
+    return 3 if failed else 0
 
 
 # --- entry point -------------------------------------------------------------

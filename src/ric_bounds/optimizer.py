@@ -27,10 +27,9 @@ c3; at fixed c3 it is jointly convex in (delta, nu).
 * inner solve at a fixed c3 (:func:`minimize_inner`, used by
   :func:`lifted_upper_objective` and :func:`lifted_lower_objective`): the
   same Newton run with t pinned to log c3 and no spherical term, so V = K
-  and the stop test is relative to K.  It starts from the analytic
-  c3 -> 0 optimum and then, if that run ends non-converged with budget
-  left, from the c3 -> inf optimum; it is the only solve with a second
-  start.
+  and the stop test is relative to K.  Like the joint solve it runs
+  once, from the analytic (delta, nu) optimum of the c3 limit nearer its
+  c3 (:func:`_newton_start`).
 
 Everything is deterministic: start points fixed by the inputs, no
 randomized restarts, and ties between equal-valued optima resolve to the
@@ -105,11 +104,11 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
     outer_tol: the largest Newton step in t = log c3, so a relative
         change of c3, with which the joint solve may stop.
     multistart_grid: accepted for compatibility (it must be at least 1)
-        and has no effect.  Every solve runs from fixed starts: the joint
-        solve once, from a fixed c3 per family, since restarts from c3
+        and has no effect.  Every solve is one run from one start: the
+        joint solve from a fixed c3 per family, since restarts from c3
         spread over the bracket never moved a bound by more than rounding;
-        :func:`minimize_inner` from its own start sequence, since at fixed
-        c3 K is convex in (delta, nu).
+        :func:`minimize_inner` from the optimum of the nearer c3 limit,
+        since at fixed c3 K is convex in (delta, nu).
     c3_bracket: (lo, hi) for c3; the joint solve runs on the bracket
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
         where the objective's slope still points outward.  lo must be at
@@ -118,9 +117,7 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
         where the spherical term is still finite at 4 hi.
     max_evals: cap on the evaluations of K per cell (per solve in
         :func:`minimize_inner`), rejected line-search trials included.  A
-        run that reaches the cap stops there, non-converged; in
-        :func:`minimize_inner` each start runs on the budget the earlier
-        ones left.
+        run that reaches the cap stops there, non-converged.
     """
 
     __slots__ = ()
@@ -144,8 +141,8 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 
 class OptimReport(namedtuple("OptimReport", ("best_params", "best_value", "evaluations",
-                                             "converged", "restarts_used", "slope"))):
-    """Outcome of one inner solve: best point, bookkeeping, convergence.
+                                             "converged", "slope"))):
+    """Outcome of one inner solve: best point, evaluation count, convergence.
 
     ``best_value`` is the lowest K = J - c3/2 found, at ``best_params``,
     which carry the exact delta = gamma - c3/2.  ``slope`` is K_c = dK/dc3
@@ -240,43 +237,28 @@ def _evaluable(c3: float, delta: float, nu: float) -> bool:
     return delta > 0.0 and nu > 0.0 and nu * (c3 + 2.0 * delta) < math.inf
 
 
-def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None, *,
-                   start: tuple[float, float] | None = None) -> OptimReport:
+def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None) -> OptimReport:
     """Minimize K = J - c3/2 over delta = gamma - c3/2 > 0, nu >= 0.
 
     The joint solve's Newton run (:func:`_joint_newton`) with t = log c3
-    pinned and no spherical term, so its stop test is relative to K.  It
-    runs from the (delta, nu) starts of :func:`_newton_starts` in turn:
-    ``start`` when given (an estimate of the optimum, such as the optimum
-    at a nearby c3), the analytic c3 -> 0 optimum, then the c3 -> inf
-    optimum.  A start with delta <= 0 or nu <= 0, or whose 2 nu gamma
-    overflows, is skipped without an evaluation.  The next start runs only
-    while every run so far has ended non-converged with budget left, and
-    the lowest K is kept.  K is jointly convex in (delta, nu), so a run
-    that converges has reached min K from any start.  ``restarts_used``
-    counts the starts run.
+    pinned and no spherical term, so its stop test is relative to K, from
+    :func:`_newton_start`.  K is jointly convex in (delta, nu), so one run
+    from a good start reaches min K.  c3 must lie in (0, 4 x the bracket
+    ceiling], the widest range the joint solve evaluates; past it
+    gamma_hat's 4 c3^2 overflows.
     """
     cfg = config or DEFAULT_CONFIG
-    if not c3 > 0.0:
-        raise ValueError(f"minimize_inner requires c3 > 0, got {c3!r}")
+    if not 0.0 < c3 <= 4.0 * _C3_CEILING:
+        raise ValueError(f"minimize_inner requires 0 < c3 <= {4.0 * _C3_CEILING!r}, got {c3!r}")
 
     t = math.log(c3)
-    best = None
-    evals = starts = 0
-    for seed in _newton_starts(c3, beta, start):
-        run = _joint_newton(beta, None, None, t, {t: c3}, cfg, cfg.max_evals - evals, *seed)
-        evals, starts = evals + run[4], starts + 1
-        if best is None or run[0][0] < best[0][0]:
-            best = run
-        if run[5] or evals >= cfg.max_evals:
-            break
-    point, _c3, delta, nu, _evals, converged, _edge = best
+    point, _c3, delta, nu, evals, converged, _edge = _joint_newton(
+        beta, None, None, t, {t: c3}, cfg, cfg.max_evals, *_newton_start(c3, beta))
     return OptimReport(
         best_params=LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta),
         best_value=point[3],
         evaluations=evals,
         converged=converged,
-        restarts_used=starts,
         slope=point[4][0] / c3,
     )
 
@@ -297,19 +279,17 @@ def _asymptotic_seed(c3: float, beta: float) -> tuple[float, float]:
     return beta / (2.0 * c3), nu
 
 
-def _newton_starts(c3: float, beta: float, start: tuple[float, float] | None):
-    """The (delta, nu) starts of a Newton run at c3, in order: a given
-    start, the c3 -> 0 optimum, then the c3 -> inf optimum.  All but the
-    c3 -> 0 start are skipped unless they pass :func:`_evaluable`, and the
-    c3 -> inf optimum also when it is the given start, whose run it would
-    repeat.  Lazy, so a start that is not needed costs nothing."""
-    if start is not None and _evaluable(c3, *start):
-        yield start
+def _newton_start(c3: float, beta: float) -> tuple[float, float]:
+    """(delta, nu) start of a Newton run at c3: the analytic optimum of the
+    nearer c3 limit.  That is the c3 -> inf optimum where c3 > 1 and it
+    passes :func:`_evaluable` (it fails for the lower family's beta near
+    1), else the c3 -> 0 optimum."""
+    if c3 > 1.0:
+        seed = _asymptotic_seed(c3, beta)
+        if _evaluable(c3, *seed):
+            return seed
     g0, threshold_sq = _limit_seed(beta)
-    yield g0, threshold_sq / (2.0 * c3 + 4.0 * g0)  # 4 gamma nu = threshold^2
-    seed = _asymptotic_seed(c3, beta)
-    if seed != start and _evaluable(c3, *seed):
-        yield seed
+    return g0, threshold_sq / (2.0 * c3 + 4.0 * g0)  # 4 gamma nu = threshold^2
 
 
 def _limit_params(beta: float) -> LiftedParams:
@@ -444,11 +424,8 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     ends = {math.log(lo / 4.0): lo / 4.0, math.log(4.0 * hi): 4.0 * hi}
     t = min(max(math.log(_START_C3[upper]), min(ends)), max(ends))
     c3 = ends.get(t) or math.exp(t)
-    # The analytic optimum of the nearer limit, or the c3 -> 0 one where
-    # the c3 -> inf one is not evaluable (lower family, beta near 1).
-    delta, nu = list(_newton_starts(c3, beta, None))[-1 if c3 > 1.0 else 0]
     point, c3, delta, nu, evals, converged, edge = _joint_newton(
-        beta, alpha, branch, t, ends, cfg, cfg.max_evals, delta, nu)
+        beta, alpha, branch, t, ends, cfg, cfg.max_evals, *_newton_start(c3, beta))
     value = signed_value(c3, alpha, point[3], branch)
     # The c3 -> 0 limit is exactly the simple bound; listing it with c3 = 0
     # both enforces never-worse-than-limit and wins ties at the smallest c3.

@@ -215,6 +215,24 @@ class TestEmpirical:
         assert out == ""
         assert err.startswith("error: ") and "--slack" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_converged_lifted_bound_exits_3(self, fmt, capsys):
+        """At (10, 40, 9) the lower family's optimum lies past the searched
+        c3 range, as ``bound --kind lower-lifted --alpha 0.25 --beta 0.225``
+        reports.  Every value and the verdict are still printed, and one
+        error line names the non-converged kind."""
+        argv = ["empirical", "--m", "10", "--n", "40", "--k", "9", "--trials", "2",
+                "--support-budget", "1000", "--format", fmt]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert err == "error: lower-lifted at alpha=0.25 beta=0.225: optimizer did not converge\n"
+        if fmt == "json":
+            payload = json.loads(out)
+            assert len(payload["bounds"]) == 4 and "verdict" in payload["sandwich"]
+        else:
+            assert "lower-lifted: -0.00293111" in out
+            assert out.strip().endswith("verdict: no violation found (sampled)")
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(self.ARGS + ["--format", "json"], capsys)
         assert code == 0

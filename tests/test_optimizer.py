@@ -4,6 +4,7 @@ and local-optimality certificates."""
 
 import math
 import random
+import re
 
 import pytest
 from mpmath import mp
@@ -108,27 +109,19 @@ class TestMinimizeInner:
             assert report.best_params.nu >= 0.0
 
     def test_budget_and_restart_accounting(self):
-        """restarts_used counts the starts run: of the two analytic starts,
-        only the first runs where it converges."""
-        assert len(list(optimizer._newton_starts(0.5, 0.1, None))) == 2
+        """One run from one start: the report counts its evaluations, within
+        the budget."""
         report = minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=160))
-        assert report.converged and report.restarts_used == 1
-        assert report.evaluations <= 160
-
-    def test_asymptotic_start_given_is_not_run_twice(self):
-        seed = optimizer._asymptotic_seed(256.0, 0.3)
-        starts = list(optimizer._newton_starts(256.0, 0.3, seed))
-        assert starts[0] == seed and starts.count(seed) == 1 and len(starts) == 2
-        assert sorted(optimizer._newton_starts(256.0, 0.3, None)) == sorted(starts)
+        assert report.converged and 0 < report.evaluations <= 160
 
     EDGE_C3 = [1e-4, 1.0, 256.0, 4096.0]
     EDGE_BETA = [BETA_MIN, 0.5, BETA_MAX]
 
     @pytest.mark.parametrize("grid", [2, 3, 4])
     def test_multistart_not_worse_than_default(self, grid):
-        """multistart_grid no longer changes minimize_inner's report, bit
-        for bit: at fixed c3, K is convex in (delta, nu), so one converged
-        run reaches min K.  This holds with and without a start."""
+        """multistart_grid does not change minimize_inner's report, bit for
+        bit: at fixed c3, K is convex in (delta, nu), so one converged run
+        reaches min K."""
         rng = random.Random(6)
         points = [(1e-4, 1e-6), (256.0, 0.999999), (0.2577, 0.01), (4.0283, 0.03)]
         points += [
@@ -138,35 +131,29 @@ class TestMinimizeInner:
         ]
         points += [(c3, beta) for c3 in self.EDGE_C3 for beta in self.EDGE_BETA]
         for c3, beta in points:
-            for start in (None, (0.3, 2.0)):
-                default = minimize_inner(c3, beta, start=start)
-                multi = minimize_inner(c3, beta, OptimizerConfig(multistart_grid=grid),
-                                       start=start)
-                assert multi == default, (c3, beta, start)
-                assert isinstance(default.slope, float) and math.isfinite(default.slope)
+            default = minimize_inner(c3, beta)
+            assert minimize_inner(c3, beta, OptimizerConfig(multistart_grid=grid)) == default
+            assert isinstance(default.slope, float) and math.isfinite(default.slope)
 
     @pytest.mark.parametrize("grid", [2, 3, 4])
     def test_multistart_keeps_within_budget(self, grid):
-        """Under every budget from 1 to 40 evaluations, cold and from a
-        start with no curvature (which falls back to the analytic starts),
-        the report keeps within the budget and equals the default's."""
-        for start in (None, (1e6, 1e6)):
-            for max_evals in range(1, 41):
-                cfg = OptimizerConfig(multistart_grid=grid, max_evals=max_evals)
-                report = minimize_inner(0.5, 0.1, cfg, start=start)
-                assert report.evaluations <= max_evals, (start, max_evals)
-                assert report == minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals),
-                                                start=start)
+        """Under every budget from 1 to 40 evaluations the report keeps
+        within the budget and equals the default's."""
+        for max_evals in range(1, 41):
+            cfg = OptimizerConfig(multistart_grid=grid, max_evals=max_evals)
+            report = minimize_inner(0.5, 0.1, cfg)
+            assert report.evaluations <= max_evals, max_evals
+            assert report == minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals))
 
     @pytest.mark.parametrize("c3", EDGE_C3)
     @pytest.mark.parametrize("beta", EDGE_BETA)
     def test_single_start_at_domain_edges(self, c3, beta):
-        """The first analytic start converges at the edges of beta and far
-        out in c3, where gamma - c3/2 and J cancel, to the minimum of K
-        found by Newton at 50 digits, to 1e-14 relative."""
+        """The one run converges at the edges of beta and far out in c3,
+        where gamma - c3/2 and J cancel, to the minimum of K found by Newton
+        at 50 digits, to 1e-14 relative."""
         report = minimize_inner(c3, beta)
         p = report.best_params
-        assert report.converged and report.restarts_used == 1
+        assert report.converged
         assert p.gamma > c3 / 2.0 and p.nu > 0.0
         with mp.workdps(CERT_DPS):
             _g, _n, j = inner_minimum_mp(c3, beta, mp.mpf(c3) / 2 + mp.mpf(p.delta), p.nu)
@@ -190,11 +177,18 @@ class TestMinimizeInner:
     @pytest.mark.parametrize("c3", [2.0**14, 2.0**16])
     @pytest.mark.parametrize("beta", [0.005, 0.07])
     def test_asymptotic_seed_takes_over_at_large_c3(self, c3, beta):
-        """Where Newton from the c3 -> 0 optimum stalls, a second start at
-        the c3 -> inf optimum converges; the report counts both starts."""
+        """Far out in c3 the run starts from the c3 -> inf optimum and
+        converges within 3 evaluations to the K that two runs reached in 6-9:
+        one from the c3 -> 0 optimum, which stalled, then one from the
+        c3 -> inf optimum."""
+        two_start_k = {(2.0**14, 0.005): 5.8438145075767024e-06,
+                       (2.0**14, 0.07): 6.475783755640679e-05,
+                       (2.0**16, 0.005): 1.566720681311696e-06,
+                       (2.0**16, 0.07): 1.7670236438657575e-05}
         report = minimize_inner(c3, beta)
-        assert report.converged and report.restarts_used == 2
-        assert report.evaluations < 20
+        assert report.converged and report.evaluations <= 3
+        assert report.best_value == two_start_k[c3, beta]
+        assert optimizer._newton_start(c3, beta) == optimizer._asymptotic_seed(c3, beta)
         assert report.best_value <= single_simplex_inner(c3, beta, OptimizerConfig())[0]
 
     @pytest.mark.parametrize("c3,beta", [(0.5, 0.1), (4096.0, BETA_MIN), (1e-4, 0.9)])
@@ -216,6 +210,19 @@ class TestMinimizeInner:
     def test_rejects_nonpositive_c3(self):
         with pytest.raises(ValueError):
             minimize_inner(0.0, 0.1)
+
+    @pytest.mark.parametrize("c3", [math.nextafter(4.0 * optimizer._C3_CEILING, math.inf),
+                                    1e200, math.inf, math.nan])
+    def test_rejects_c3_past_the_widest_bracket(self, c3):
+        """Past 4 x the bracket ceiling gamma_hat's 4 c3^2 overflows: the
+        solve and both objectives raise a ValueError naming the limit
+        instead of reporting non-convergence, inf or a ZeroDivisionError."""
+        limit = re.escape(repr(4.0 * optimizer._C3_CEILING))
+        shape = ProblemShape(0.5, 0.1)
+        for solve, arg in ((minimize_inner, shape.beta), (lifted_upper_objective, shape),
+                           (lifted_lower_objective, shape)):
+            with pytest.raises(ValueError, match=limit):
+                solve(c3, arg)
 
     @pytest.mark.parametrize("beta", [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX])
     def test_converges_from_tiny_to_huge_c3(self, beta):
@@ -250,15 +257,18 @@ class TestMinimizeInner:
 
 
 class TestWarmStart:
-    """``minimize_inner(..., start=(delta, nu))`` runs Newton from the given
-    point first and falls back to the cold starts when that run ends
-    non-converged."""
+    """A Newton run with t pinned to log c3 goes from the (delta, nu) start
+    it is given."""
 
     BETAS = [BETA_MIN, 0.005, 0.1, 0.5, 0.9, BETA_MAX]
 
     @staticmethod
-    def _optimum(report):
-        return report.best_params.delta, report.best_params.nu
+    def _run(c3, beta, delta, nu):
+        """(K, evaluations, converged) of the run from (delta, nu)."""
+        t = math.log(c3)
+        point, _c3, _delta, _nu, evals, converged, _edge = optimizer._joint_newton(
+            beta, None, None, t, {t: c3}, OptimizerConfig(), 100, delta, nu)
+        return point[3], evals, converged
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_start_at_the_optimum_converges_at_once(self, beta):
@@ -266,90 +276,20 @@ class TestWarmStart:
         for k in range(-15, 19):
             c3 = 2.0**k
             cold = minimize_inner(c3, beta, cfg)
-            warm = minimize_inner(c3, beta, cfg, start=self._optimum(cold))
-            assert warm.converged and warm.restarts_used == 1, c3
-            assert warm.evaluations <= 2, c3
-            assert abs(warm.best_value - cold.best_value) <= cfg.inner_tol, c3
-
-    @pytest.mark.parametrize("beta", [0.005, 0.1, 0.5, 0.9])
-    @pytest.mark.parametrize("factors", [(1e3, 1e3), (1e-3, 1e-3), (1e3, 1e-3), (1e-3, 1e3)])
-    def test_start_far_off_ends_no_higher_than_cold(self, beta, factors):
-        """1000x off in delta and nu, in each direction: the solve still
-        converges, whether from the start or after falling back."""
-        cfg = OptimizerConfig()
-        for c3 in (1e-4, 0.01, 1.0, 16.0, 256.0, 4096.0):
-            cold = minimize_inner(c3, beta, cfg)
-            delta, nu = self._optimum(cold)
-            far = minimize_inner(c3, beta, cfg, start=(delta * factors[0], nu * factors[1]))
-            assert far.converged, c3
-            assert far.best_value <= cold.best_value + cfg.inner_tol, c3
-
-    @pytest.mark.parametrize("c3,beta", [(2.0**16, 0.005), (2.0**14, 0.07), (0.5, 0.1)])
-    def test_start_off_the_domain_is_skipped(self, c3, beta):
-        """delta <= 0 or nu <= 0, or 2 nu gamma overflows (where erfcx is 0
-        and the derivatives would divide by it): the start costs no
-        evaluation and the solve is the cold one, bit for bit.  A delta
-        below ulp(c3/2), which gamma = c3/2 + delta cannot hold, is a
-        start like any other."""
-        cold = minimize_inner(c3, beta)
-        for start in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.inf),
-                      (1e200, 1e200), (1.0, 1e308)]:
-            assert minimize_inner(c3, beta, start=start) == cold, start
-        tiny = math.ulp(0.5 * c3) / 4.0
-        report = minimize_inner(c3, beta, start=(tiny, cold.best_params.nu))
-        assert report.converged
-        assert report.best_value <= cold.best_value + OptimizerConfig().inner_tol
+            value, evals, converged = self._run(c3, beta, cold.best_params.delta,
+                                                cold.best_params.nu)
+            assert converged and evals <= 2, c3
+            assert abs(value - cold.best_value) <= cfg.inner_tol, c3
 
     def test_start_near_nu_zero_is_not_converged_early(self):
         """From nu = 1e-300, K_nn ~ nu^(-1/2) hides K_nu ~ beta - 1 from the
         Newton decrement, which passes at once; the Newton step in nu, far
-        larger than nu, does not, so the solve goes on to the cold one's
+        larger than nu, does not, so the run goes on to the cold solve's
         minimum instead of reporting K near 1 as converged."""
         cold = minimize_inner(1e-6, 0.1)
-        report = minimize_inner(1e-6, 0.1, start=(1.0, 1e-300))
-        assert report.converged
-        assert abs(report.best_value - cold.best_value) <= OptimizerConfig().inner_tol
-
-    @pytest.mark.parametrize("c3,beta", [(0.5, 0.1), (16.0, 0.5), (1e-3, 0.9)])
-    def test_stalled_start_falls_back_to_the_cold_starts(self, c3, beta):
-        """A start a million times too far out has no curvature left
-        (e^{-2 nu gamma} underflows), so its run ends non-converged after
-        one evaluation; the cold solve follows with the budget left and
-        its lower J is kept.  A run that ends at the budget is final."""
-        cold = minimize_inner(c3, beta)
-        delta, nu = self._optimum(cold)
-        far = (1e6 * delta, 1e6 * nu)
-        report = minimize_inner(c3, beta, start=far)
-        assert report.restarts_used == cold.restarts_used + 1
-        assert report.evaluations == cold.evaluations + 1
-        assert (report.best_value, report.best_params, report.converged) == (
-            cold.best_value, cold.best_params, cold.converged)
-        capped = minimize_inner(c3, beta, OptimizerConfig(max_evals=1), start=far)
-        assert capped.restarts_used == 1 and not capped.converged
-
-    def test_lowest_of_the_nonconverged_runs_is_kept(self, monkeypatch):
-        """With scripted Newton runs that all stop non-converged with budget
-        left: every start runs, in order, with t pinned to log c3 and no
-        spherical term, and the lowest K wins; its slope is g_t / c3."""
-        c3, beta = 4.0, 0.1
-        seen = []
-
-        def scripted(beta_, alpha, branch, t, ends, cfg, max_evals, delta, nu):
-            assert (alpha, branch, ends) == (None, None, {t: c3}) and t == math.log(c3)
-            seen.append((delta, nu, max_evals))
-            value = (2.0, 1.0, 3.0)[len(seen) - 1]
-            point = (value, value, 0.0, value, (-value * c3, 0.0, 0.0), None)
-            return point, c3, delta, nu, 5, False, False
-
-        monkeypatch.setattr(optimizer, "_joint_newton", scripted)
-        report = minimize_inner(c3, beta, OptimizerConfig(max_evals=100), start=(0.3, 0.7))
-        cold_seed, far_seed = seen[1][:2], seen[2][:2]
-        assert [entry[2] for entry in seen] == [100, 95, 90]
-        assert seen[0][:2] == (0.3, 0.7)
-        assert far_seed == optimizer._asymptotic_seed(c3, beta)
-        assert report.best_value == 1.0 and report.slope == -1.0 and not report.converged
-        assert report.best_params.nu == cold_seed[1]
-        assert (report.evaluations, report.restarts_used) == (15, 3)
+        value, _evals, converged = self._run(1e-6, 0.1, 1.0, 1e-300)
+        assert converged
+        assert abs(value - cold.best_value) <= OptimizerConfig().inner_tol
 
 
 class TestOptimizeUpper:
@@ -576,7 +516,9 @@ class TestJointSolve:
         fails _evaluable, so the run starts from the c3 -> 0 optimum, and it
         still converges to the interior maximum."""
         shape = ProblemShape.from_rho(1.0, 0.999999)
-        assert len(list(optimizer._newton_starts(5.0, shape.beta, None))) == 1
+        assert not optimizer._evaluable(5.0, *optimizer._asymptotic_seed(5.0, shape.beta))
+        g0, threshold_sq = optimizer._limit_seed(shape.beta)
+        assert optimizer._newton_start(5.0, shape.beta) == (g0, threshold_sq / (10.0 + 4.0 * g0))
         result = optimize_lower(shape)
         assert result.converged and result.value > simple_lower(shape).value
         assert 40.0 < result.params.c3 < 42.0
@@ -595,7 +537,7 @@ class TestJointSolve:
 
         monkeypatch.setattr(optimizer, "_joint_point", flat)
         ends = {-10.0: math.exp(-10.0), 10.0: math.exp(10.0)}
-        start = next(optimizer._newton_starts(1.0, 0.1, None))
+        start = optimizer._newton_start(1.0, 0.1)
         run = optimizer._joint_newton(0.1, 0.5, SphBranch.PLUS, 0.0, ends, OptimizerConfig(), 100,
                                       *start)
         _point, c3, delta, nu, evals, converged, edge = run
@@ -809,17 +751,13 @@ class TestEvaluationContract:
 
     C3S = [1e-4, 0.5, 256.0, 4.02859e8]
 
-    @pytest.mark.parametrize("start", [None, (1e6, 1e6)], ids=["cold", "stalled-start"])
-    def test_inner_evaluations_count_calls(self, start, counts):
-        """From the cold starts, and where a start with no curvature left
-        falls back to them."""
+    def test_inner_evaluations_count_calls(self, counts):
         for shape in self.SHAPES:
             for c3 in self.C3S:
                 counts.update(i_uric_inner=0, erfcx=0)
-                report = minimize_inner(c3, shape.beta, start=start)
+                report = minimize_inner(c3, shape.beta)
                 assert report.evaluations == counts["i_uric_inner"] > 0, (shape, c3)
                 assert counts["erfcx"] == 2 * counts["i_uric_inner"], (shape, c3)
-                assert start is None or report.restarts_used >= 2, (shape, c3)
 
     @pytest.mark.parametrize("objective", [lifted_upper_objective, lifted_lower_objective],
                              ids=["upper", "lower"])
