@@ -72,7 +72,7 @@ class BoundResult(namedtuple("BoundResult", ("kind", "value", "params", "converg
 
     ``params`` carries the achieving (c3, gamma, nu) for the lifted kinds
     and is absent for the closed-form kinds.  ``evaluations`` counts the
-    inner objective evaluations of all inner solves (0 for closed forms).
+    evaluations of K in the one joint solve (0 for closed forms).
     """
 
     __slots__ = ()

@@ -48,6 +48,7 @@ from .bounds_simple import (
     KIND_UPPER_SIMPLE,
     BoundResult,
     ProblemShape,
+    _check_beta,
     simple_lower,
     simple_upper,
 )
@@ -79,7 +80,6 @@ def _config_from_args(args) -> OptimizerConfig:
     return OptimizerConfig(
         inner_tol=args.inner_tol,
         outer_tol=args.outer_tol,
-        multistart_grid=args.multistart,
         c3_bracket=(args.c3_min, args.c3_max),
         max_evals=args.max_evals,
     )
@@ -110,9 +110,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outer-tol", type=float, default=defaults.outer_tol,
                         help="largest Newton step in log c3 (a relative change of c3) "
                              "with which the solve stops")
-    parser.add_argument("--multistart", type=int, default=defaults.multistart_grid,
-                        help="accepted (N >= 1) and ignored: each bound is one solve "
-                             "from a fixed start")
     parser.add_argument("--c3-min", type=float, default=defaults.c3_bracket[0])
     parser.add_argument("--c3-max", type=float, default=defaults.c3_bracket[1])
     parser.add_argument("--max-evals", type=int, default=defaults.max_evals,
@@ -134,6 +131,7 @@ def _meta(args, fields: tuple[str, ...]) -> dict:
 def _cmd_bound(args, out) -> int:
     try:
         shape = _shape_from_args(args)
+        _check_beta(shape.beta)
         config = _config_from_args(args)
     except ValueError as exc:
         return _usage_error(exc)
@@ -264,12 +262,7 @@ def _cmd_empirical(args, out) -> int:
 
     uric, lric = empirical_ric(m, n, k, args.trials, args.support_budget, args.seed)
 
-    bounds = {
-        KIND_UPPER_SIMPLE: simple_upper(shape),
-        KIND_UPPER_LIFTED: optimize_upper(shape, config),
-        KIND_LOWER_SIMPLE: simple_lower(shape),
-        KIND_LOWER_LIFTED: optimize_lower(shape, config),
-    }
+    bounds = {kind: _compute_bound(kind, shape, config) for kind in BOUND_KINDS}
     upper_ok = uric.mean <= bounds[KIND_UPPER_LIFTED].value + args.slack
     lower_ok = lric.mean >= bounds[KIND_LOWER_LIFTED].value - args.slack
     holds = upper_ok and lower_ok

@@ -32,9 +32,10 @@ c3; at fixed c3 it is jointly convex in (delta, nu).
   c3 (:func:`_newton_start`).
 
 Everything is deterministic: start points fixed by the inputs, no
-randomized restarts, and ties between equal-valued optima resolve to the
-smallest c3.  An inexact solve only raises K, which loosens both
-families, so every reported value is a valid bound.
+randomized restarts (restarts from c3 spread over the bracket never moved
+a bound by more than rounding), and ties between equal-valued optima
+resolve to the smallest c3.  An inexact solve only raises K, which
+loosens both families, so every reported value is a valid bound.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ _T_STEP = 2.0
 _START_C3 = {True: 0.2, False: 5.0}
 
 
-class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "multistart_grid",
-                                                     "c3_bracket", "max_evals"))):
+class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "c3_bracket",
+                                                     "max_evals"))):
     """Search tolerances and budgets.
 
     inner_tol: a Newton run has converged once the Newton decrement
@@ -103,12 +104,6 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
         It then takes that last Newton step as well.
     outer_tol: the largest Newton step in t = log c3, so a relative
         change of c3, with which the joint solve may stop.
-    multistart_grid: accepted for compatibility (it must be at least 1)
-        and has no effect.  Every solve is one run from one start: the
-        joint solve from a fixed c3 per family, since restarts from c3
-        spread over the bracket never moved a bound by more than rounding;
-        :func:`minimize_inner` from the optimum of the nearer c3 limit,
-        since at fixed c3 K is convex in (delta, nu).
     c3_bracket: (lo, hi) for c3; the joint solve runs on the bracket
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
         where the objective's slope still points outward.  lo must be at
@@ -122,18 +117,18 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
 
     __slots__ = ()
 
-    def __new__(cls, inner_tol: float = 1e-10, outer_tol: float = 1e-6, multistart_grid: int = 1,
+    def __new__(cls, inner_tol: float = 1e-10, outer_tol: float = 1e-6,
                 c3_bracket: tuple[float, float] = (1e-4, 64.0),
                 max_evals: int = 20000) -> OptimizerConfig:
-        self = super().__new__(cls, inner_tol, outer_tol, multistart_grid, c3_bracket, max_evals)
+        self = super().__new__(cls, inner_tol, outer_tol, c3_bracket, max_evals)
         if not (inner_tol > 0.0 and outer_tol > 0.0):
             raise ValueError(f"tolerances must be positive, got {self}")
         lo, hi = c3_bracket
         if not _C3_FLOOR <= lo < hi <= _C3_CEILING:
             raise ValueError(f"c3 bracket must satisfy {_C3_FLOOR:.3g} <= lo < hi <= "
                              f"{_C3_CEILING:.3g}, got {c3_bracket}")
-        if multistart_grid < 1 or max_evals < 1:
-            raise ValueError(f"grid count and budget must be positive, got {self}")
+        if max_evals < 1:
+            raise ValueError(f"budget must be positive, got {self}")
         return self
 
 

@@ -244,8 +244,7 @@ def test_criterion_10_deterministic_sweep():
     """Two identical full-sweep invocations emit byte-identical CSV."""
     argv = [
         sys.executable, "-m", "ric_bounds.cli", "sweep",
-        "--multistart", "2", "--outer-tol", "1e-3", "--inner-tol", "1e-8",
-        "--max-evals", "4000",
+        "--outer-tol", "1e-3", "--inner-tol", "1e-8", "--max-evals", "4000",
     ]
     # Exit code 3 is expected: the lower family's optimum runs past the
     # upper end of the searched c3 range at the high-rho cells the

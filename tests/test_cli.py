@@ -8,9 +8,10 @@ import pytest
 
 from ric_bounds import SphBranch, cli, i_uric_inner
 from ric_bounds.bounds_lifted import signed_value
+from ric_bounds.bounds_simple import BOUND_KINDS
 from ric_bounds.cli import CSV_HEADER, main
 
-FAST = ["--multistart", "2", "--outer-tol", "1e-3", "--inner-tol", "1e-8", "--max-evals", "4000"]
+FAST = ["--outer-tol", "1e-3", "--inner-tol", "1e-8", "--max-evals", "4000"]
 
 
 def run_cli(argv, capsys):
@@ -67,6 +68,18 @@ class TestBound:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("shape", [["--alpha", "0.5", "--beta", "1e-7"],
+                                       ["--alpha", "1", "--rho", "0.9999995"]],
+                             ids=["beta-below", "beta-above"])
+    @pytest.mark.parametrize("kind", BOUND_KINDS)
+    def test_beta_outside_domain_exits_2(self, kind, shape, capsys):
+        """A beta outside [BETA_MIN, BETA_MAX] is a usage error for every
+        kind: one error line, nothing on stdout, exit 2."""
+        code, out, err = run_cli(["bound", "--kind", kind, *shape], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: beta must lie in ") and err.count("\n") == 1
 
 
 class TestSweep:
@@ -143,15 +156,9 @@ class TestSweep:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
-    def test_multistart_has_no_effect(self, capsys):
-        """--multistart is accepted and ignored: each bound is one solve."""
-        _, default, _ = run_cli(["sweep"], capsys)
-        _, multi, _ = run_cli(["sweep", "--multistart", "3"], capsys)
-        assert multi == default
-
     def test_lifted_rows_match_single_bounds(self, capsys):
-        """The lifted kinds of one shape share inner solves, and the map is
-        cleared between shapes; neither may change a printed field."""
+        """Each swept lifted row prints the same fields as a single bound
+        at its shape."""
         kinds = ["upper-lifted", "lower-lifted"]
         _, out, _ = run_cli(
             ["sweep", "--alphas", "0.3", "--rhos", "0.1", "0.3", "--kinds", *kinds] + FAST,
@@ -275,13 +282,23 @@ class TestInvalidConfig:
         "empirical": ["empirical", "--m", "5", "--n", "8", "--k", "2", "--trials", "1"],
     }
 
-    @pytest.mark.parametrize("flag", ["--max-evals", "--multistart", "--inner-tol", "--c3-min"])
+    @pytest.mark.parametrize("flag", ["--max-evals", "--inner-tol", "--c3-min"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_exits_2_with_error_line(self, command, flag, capsys):
         code, out, err = run_cli(self.COMMANDS[command] + [flag, "0"], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_multistart_is_an_unknown_flag(self, command, capsys):
+        """--multistart was removed: argparse rejects it with exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command] + ["--multistart", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --multistart 2" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--kind", "lower-lifted", "--alpha", "0.5", "--rho", "0.2"],

@@ -38,9 +38,9 @@ CASES = [
      "BoundResult(kind='upper-lifted', value=1.5, params=LiftedParams(c3=1.0, gamma=0.75, "
      "nu=2.0, delta=0.25), converged=False, evaluations=12)"),
     (LiftedParams, (1.0, 0.75, 2.0, 0.25), "LiftedParams(c3=1.0, gamma=0.75, nu=2.0, delta=0.25)"),
-    (OptimizerConfig, (1e-9, 1e-5, 3, (1e-3, 32.0), 500),
-     "OptimizerConfig(inner_tol=1e-09, outer_tol=1e-05, multistart_grid=3, "
-     "c3_bracket=(0.001, 32.0), max_evals=500)"),
+    (OptimizerConfig, (1e-9, 1e-5, (1e-3, 32.0), 500),
+     "OptimizerConfig(inner_tol=1e-09, outer_tol=1e-05, c3_bracket=(0.001, 32.0), "
+     "max_evals=500)"),
     (OptimReport, (PARAMS, -0.5, 7, True, 0.125),
      "OptimReport(best_params=LiftedParams(c3=1.0, gamma=0.75, nu=2.0, delta=0.25), "
      "best_value=-0.5, evaluations=7, converged=True, slope=0.125)"),
@@ -179,19 +179,17 @@ class TestLiftedParams:
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
-        assert cfg == (1e-10, 1e-6, 1, (1e-4, 64.0), 20000)
+        assert cfg == (1e-10, 1e-6, (1e-4, 64.0), 20000)
         assert cfg == DEFAULT_CONFIG
-        assert OptimizerConfig(max_evals=50) == (1e-10, 1e-6, 1, (1e-4, 64.0), 50)
+        assert OptimizerConfig(max_evals=50) == (1e-10, 1e-6, (1e-4, 64.0), 50)
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"inner_tol": 0.0}, r"tolerances must be positive, got OptimizerConfig\(inner_tol=0.0, "
-                             r"outer_tol=1e-06, multistart_grid=1, c3_bracket=\(0.0001, 64.0\), "
-                             r"max_evals=20000\)"),
+                             r"outer_tol=1e-06, c3_bracket=\(0.0001, 64.0\), max_evals=20000\)"),
         ({"outer_tol": -1.0}, r"tolerances must be positive"),
         ({"c3_bracket": (1.0, 1.0)}, r"c3 bracket must satisfy .* <= lo < hi <= .*, got \(1.0, 1.0\)"),
         ({"c3_bracket": (1e-4, 1e160)}, r"c3 bracket must satisfy"),
-        ({"multistart_grid": 0}, r"grid count and budget must be positive, got OptimizerConfig\("),
-        ({"max_evals": 0}, r"grid count and budget must be positive"),
+        ({"max_evals": 0}, r"budget must be positive, got OptimizerConfig\("),
     ])
     def test_rejects(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

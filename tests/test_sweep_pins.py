@@ -57,8 +57,7 @@ def test_sweep_output_is_pinned(seed):
 
 # flags: (SHA-256 of stdout on the default grid, rows with converged=false)
 PINNED_CONFIGS = {
-    "criterion-10": (["--multistart", "2", "--outer-tol", "1e-3", "--inner-tol", "1e-8",
-                      "--max-evals", "4000"],
+    "criterion-10": (["--outer-tol", "1e-3", "--inner-tol", "1e-8", "--max-evals", "4000"],
                      "71282741f0e83d1ea8d0a463aca964089a95c88915c5953c4c01cd36eac504b0", 7),
     "c3-max-1e150": (["--c3-max", "1e150"],
                      "57000cae8dce98b0f743d39e98dfe104f628532370c65b2c5234564e4696ea9b", 0),
