@@ -56,6 +56,7 @@ class TestConfig:
             {"c3_bracket": (1e-150, 64.0)},
             {"c3_bracket": (0.99 * optimizer._C3_FLOOR, 64.0)},
             {"c3_bracket": (1e-4, 1e160)},
+            {"outer_tol": 0.0},
             {"max_evals": 0},
         ],
     )
@@ -115,26 +116,31 @@ class TestMinimizeInner:
     EDGE_C3 = [1e-4, 1.0, 256.0, 4096.0]
     EDGE_BETA = [BETA_MIN, 0.5, BETA_MAX]
 
-    def test_slope_is_finite(self):
+    @pytest.mark.parametrize("where", ["anchors", "random", "edges"])
+    def test_slope_is_finite(self, where):
         """The report's slope is a finite float across the c3 and beta
-        range, edges included."""
+        range: at the range ends and table points, at random log-uniform
+        points, and on the edge grid."""
         rng = random.Random(6)
-        points = [(1e-4, 1e-6), (256.0, 0.999999), (0.2577, 0.01), (4.0283, 0.03)]
-        points += [
-            (math.exp(rng.uniform(math.log(1e-4), math.log(256.0))),
-             math.exp(rng.uniform(math.log(1e-4), math.log(0.9))))
-            for _ in range(20)
-        ]
-        points += [(c3, beta) for c3 in self.EDGE_C3 for beta in self.EDGE_BETA]
+        points = {
+            "anchors": [(1e-4, 1e-6), (256.0, 0.999999), (0.2577, 0.01), (4.0283, 0.03)],
+            "random": [
+                (math.exp(rng.uniform(math.log(1e-4), math.log(256.0))),
+                 math.exp(rng.uniform(math.log(1e-4), math.log(0.9))))
+                for _ in range(20)
+            ],
+            "edges": [(c3, beta) for c3 in self.EDGE_C3 for beta in self.EDGE_BETA],
+        }[where]
         for c3, beta in points:
             slope = minimize_inner(c3, beta).slope
             assert isinstance(slope, float) and math.isfinite(slope), (c3, beta)
 
-    def test_keeps_within_budget(self):
+    @pytest.mark.parametrize("c3", [1e-4, 0.5, 256.0])
+    def test_keeps_within_budget(self, c3):
         """Under every budget from 1 to 40 evaluations the report keeps
-        within the budget."""
+        within the budget, near both ends of c3 and in between."""
         for max_evals in range(1, 41):
-            report = minimize_inner(0.5, 0.1, OptimizerConfig(max_evals=max_evals))
+            report = minimize_inner(c3, 0.1, OptimizerConfig(max_evals=max_evals))
             assert report.evaluations <= max_evals, max_evals
 
     @pytest.mark.parametrize("c3", EDGE_C3)
