@@ -20,9 +20,11 @@ it, on first use.
 
 The import also keeps off the stdlib's data-class module (with the
 ``inspect``, ``dis``, ``ast`` and ``tokenize`` it pulls in), ``typing``,
-``importlib.resources`` and ``csv``: in a fresh ``python -I`` the import
-and the reference tables take about 7 ms instead of about 25 ms.  The
-records are therefore immutable named tuples that validate in
+``importlib.resources`` and ``csv``: in a fresh ``python -I`` (Python
+3.11, 2-core x86-64) the import and the reference tables take about 3 ms
+instead of about 25 ms; under ``-I -S``, where the site module has not
+loaded ``collections``, ``enum``, ``functools`` and ``os``, about 10 ms.
+The records are therefore immutable named tuples that validate in
 ``__new__``; they unpack, and compare equal to a tuple of equal fields.
 """
 

@@ -121,15 +121,14 @@ def i_sph(c3: float, alpha: float, branch: SphBranch) -> float:
 
     On the PLUS branch ghat > c3/2 keeps the log argument in (0, 1); on
     the MINUS branch ghat < 0 makes it exceed 1.  Tends to +-sqrt(alpha)
-    as c3 -> 0.
+    as c3 -> 0.  The first item of :func:`i_sph_derivatives`.
     """
-    gh = gamma_hat(c3, alpha, branch)
-    return gh - (alpha / (2.0 * c3)) * _log_sph_argument(c3, alpha, gh)
+    return i_sph_derivatives(c3, alpha, branch)[0]
 
 
 def i_sph_derivatives(c3: float, alpha: float, branch: SphBranch) -> tuple[float, float, float]:
-    """(I, I', I'') in c3 from one ghat and one log, I = :func:`i_sph` bit
-    for bit.  ghat is stationary, so I' = (H + ghat)/c3 with H the log
+    """(I, I', I'') in c3 from one ghat and one log, I = :func:`i_sph`.
+    ghat is stationary, so I' = (H + ghat)/c3 with H the log
     term (alpha/(2 c3)) log(1 - c3/(2 ghat)); ghat' = ghat/(4 ghat - c3)
     and 1 - c3/(2 ghat) = alpha/(4 ghat^2), both from
     2 ghat (2 ghat - c3) = alpha, give I'' = -2 (alpha/(4 ghat - c3) + H)/c3^2.

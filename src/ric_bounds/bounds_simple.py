@@ -43,8 +43,16 @@ BOUND_KINDS = (
 _LIFTED_KINDS = frozenset({KIND_UPPER_LIFTED, KIND_LOWER_LIFTED})
 
 
+def _check_beta(beta: float) -> None:
+    if not BETA_MIN <= beta <= BETA_MAX:
+        raise ValueError(
+            f"beta must lie in [{BETA_MIN}, {BETA_MAX}] (clamped domain), got {beta!r}"
+        )
+
+
 class ProblemShape(namedtuple("ProblemShape", ("alpha", "beta"))):
-    """Aspect-ratio pair (alpha, beta) = (m/n, k/n) with 0 < beta < alpha <= 1."""
+    """Aspect-ratio pair (alpha, beta) = (m/n, k/n) with 0 < beta < alpha <= 1
+    and beta in [BETA_MIN, BETA_MAX], checked in that order."""
 
     __slots__ = ()
 
@@ -54,6 +62,7 @@ class ProblemShape(namedtuple("ProblemShape", ("alpha", "beta"))):
             raise ValueError(f"shape must be finite, got {self}")
         if not 0.0 < beta < alpha <= 1.0:
             raise ValueError(f"shape requires 0 < beta < alpha <= 1, got alpha={alpha}, beta={beta}")
+        _check_beta(beta)
         return self
 
     @property
@@ -89,13 +98,6 @@ class BoundResult(namedtuple("BoundResult", ("kind", "value", "params", "converg
         if kind == KIND_LOWER_SIMPLE and not value <= 1.0 + 1e-9:
             raise ValueError(f"the simple lower bound is <= 1 by construction, got {value}")
         return self
-
-
-def _check_beta(beta: float) -> None:
-    if not BETA_MIN <= beta <= BETA_MAX:
-        raise ValueError(
-            f"beta must lie in [{BETA_MIN}, {BETA_MAX}] (clamped domain), got {beta!r}"
-        )
 
 
 @lru_cache(maxsize=256)

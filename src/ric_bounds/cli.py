@@ -18,7 +18,9 @@ Exit codes: 0 success, 2 invalid shape/dimensions, optimizer flags or a
 non-finite --slack (argparse usage errors also exit 2), 3 optimizer
 non-convergence in ``bound``, a ``sweep`` row (or a failed row) or a
 lifted bound of ``empirical``; the last two name each on an ``error:``
-line, and values and the verdict are still printed.
+line, and values and the verdict are still printed.  Usage errors are
+checked in order, argparse's, then the optimizer flags, then the shape
+or dimensions, and the first one found is the one named.
 
 All output is deterministic for identical invocations: floats render
 with %.6g, nothing timestamps, and sweep cells are computed one after
@@ -48,7 +50,6 @@ from .bounds_simple import (
     KIND_UPPER_SIMPLE,
     BoundResult,
     ProblemShape,
-    _check_beta,
     simple_lower,
     simple_upper,
 )
@@ -128,23 +129,16 @@ def _meta(args, fields: tuple[str, ...]) -> dict:
 # --- bound -----------------------------------------------------------------
 
 
-def _cmd_bound(args, out) -> int:
+def _cmd_bound(args, config: OptimizerConfig, out) -> int:
     try:
         shape = _shape_from_args(args)
-        _check_beta(shape.beta)
-        config = _config_from_args(args)
     except ValueError as exc:
         return _usage_error(exc)
     result = _compute_bound(args.kind, shape, config)
 
-    row = _row_dict(shape.alpha, shape.rho, args.kind, result, reference=None)
-    if args.format == "json":
-        meta = _meta(args, ("kind", "alpha", "beta", "rho", "format"))
-        json.dump({"meta": meta, "rows": [row]}, out, sort_keys=True)
-        out.write("\n")
-    elif args.format == "csv":
-        out.write(CSV_HEADER + "\n")
-        out.write(_row_csv(row) + "\n")
+    if args.format != "text":
+        row = _row_dict(shape.alpha, shape.rho, args.kind, result, reference=None)
+        _write_rows(args, ("kind", "alpha", "beta", "rho", "format"), [row], out)
     else:
         out.write(f"kind: {args.kind}\n")
         out.write(f"alpha: {_fmt(shape.alpha)}\n")
@@ -206,6 +200,17 @@ def _row_csv(row: dict) -> str:
     )
 
 
+def _write_rows(args, fields: tuple[str, ...], rows: list[dict], out) -> None:
+    """The rows as a {"meta", "rows"} JSON document, or as CSV under its header."""
+    if args.format == "json":
+        json.dump({"meta": _meta(args, fields), "rows": rows}, out, sort_keys=True)
+        out.write("\n")
+    else:
+        out.write(CSV_HEADER + "\n")
+        for row in rows:
+            out.write(_row_csv(row) + "\n")
+
+
 def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) -> dict:
     reference = reference_for_kind(kind, alpha, rho)
     try:
@@ -216,23 +221,12 @@ def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) ->
     return _row_dict(alpha, rho, kind, result, reference)
 
 
-def _cmd_sweep(args, out) -> int:
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _usage_error(exc)
+def _cmd_sweep(args, config: OptimizerConfig, out) -> int:
     kinds = [k for k in BOUND_KINDS if k in set(args.kinds)]
     rows = [_sweep_cell(a, r, k, config) for a in args.alphas for r in args.rhos for k in kinds]
 
     failed = [r for r in rows if r.get("error") is not None or not r["converged"]]
-    if args.format == "json":
-        meta = _meta(args, ("alphas", "rhos", "kinds", "format"))
-        json.dump({"meta": meta, "rows": rows}, out, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write(CSV_HEADER + "\n")
-        for row in rows:
-            out.write(_row_csv(row) + "\n")
+    _write_rows(args, ("alphas", "rhos", "kinds", "format"), rows, out)
     for row in failed:
         msg = row.get("error", "optimizer did not converge")
         print(f"error: cell alpha={row['alpha']} rho={row['rho']} kind={row['kind']}: {msg}",
@@ -243,7 +237,7 @@ def _cmd_sweep(args, out) -> int:
 # --- empirical ---------------------------------------------------------------
 
 
-def _cmd_empirical(args, out) -> int:
+def _cmd_empirical(args, config: OptimizerConfig, out) -> int:
     m, n, k = args.m, args.n, args.k
     try:
         if not 0 < k < m < n:
@@ -255,7 +249,6 @@ def _cmd_empirical(args, out) -> int:
         if not math.isfinite(args.slack):
             raise ValueError(f"--slack must be finite, got {args.slack}")
         shape = ProblemShape(alpha=m / n, beta=k / n)
-        config = _config_from_args(args)
     except ValueError as exc:
         return _usage_error(exc)
     from .empirical import MODE_EXHAUSTIVE
@@ -363,12 +356,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     if args.command == "bound":
-        return _cmd_bound(args, out)
+        return _cmd_bound(args, config, sys.stdout)
     if args.command == "sweep":
-        return _cmd_sweep(args, out)
-    return _cmd_empirical(args, out)
+        return _cmd_sweep(args, config, sys.stdout)
+    return _cmd_empirical(args, config, sys.stdout)
 
 
 if __name__ == "__main__":  # pragma: no cover

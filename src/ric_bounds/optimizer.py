@@ -287,12 +287,6 @@ def _newton_start(c3: float, beta: float) -> tuple[float, float]:
     return g0, threshold_sq / (2.0 * c3 + 4.0 * g0)  # 4 gamma nu = threshold^2
 
 
-def _limit_params(beta: float) -> LiftedParams:
-    # Analytic optimum of the c3 -> 0 reparameterized objective.
-    gamma, threshold_sq = _limit_seed(beta)
-    return LiftedParams(c3=0.0, gamma=gamma, nu=threshold_sq / (4.0 * gamma))
-
-
 def _joint_point(c3: float, beta: float, alpha: float | None, branch: SphBranch | None,
                  delta: float, nu: float):
     """(V, S, resolution, K, gradient, Hessian) in (t = log c3, delta, nu)
@@ -421,7 +415,7 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     c3 = ends.get(t) or math.exp(t)
     point, c3, delta, nu, evals, converged, edge = _joint_newton(
         beta, alpha, branch, t, ends, cfg, cfg.max_evals, *_newton_start(c3, beta))
-    value = signed_value(c3, alpha, point[3], branch)
+    value = point[0] / math.sqrt(alpha)  # V = K + I_sph at the run's end
     # The c3 -> 0 limit is exactly the simple bound; listing it with c3 = 0
     # both enforces never-worse-than-limit and wins ties at the smallest c3.
     limit_value = simple_upper(shape).value if upper else -simple_lower(shape).value
@@ -430,7 +424,8 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
         # the lower end; a run that stopped at the upper end has its
         # optimum at or past 4 hi: non-converged, whatever the limit.
         converged = (converged or edge) and not (edge and c3 == 4.0 * hi)
-        value, params = limit_value, _limit_params(beta)
+        # At c3 = 0 the Newton start is the c3 -> 0 optimum, with delta = gamma.
+        value, params = limit_value, LiftedParams(0.0, *_newton_start(0.0, beta))
     else:
         # A run that stopped at either end has its optimum past that end.
         params = LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta)

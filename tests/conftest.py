@@ -1,3 +1,4 @@
+import os
 import sys
 import time
 from pathlib import Path
@@ -6,7 +7,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make tests/oracles.py importable
 
+import ric_bounds
 from ric_bounds import ProblemShape, optimize_lower, optimize_upper
+
+
+def child_env() -> dict[str, str]:
+    """This environment with the directory of the imported ric_bounds first
+    on PYTHONPATH, so a child ``python -m ric_bounds.cli`` runs the package
+    under test, installed or not."""
+    src = str(Path(ric_bounds.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
 
 UPPER_RHOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 LOWER_RHOS = (0.05, 0.1, 0.3, 0.5)

@@ -33,7 +33,7 @@ from ric_bounds import (
 )
 from ric_bounds.reference_tables import lookup
 
-from conftest import ALPHAS, LOWER_RHOS, UPPER_RHOS
+from conftest import ALPHAS, LOWER_RHOS, UPPER_RHOS, child_env
 from oracles import lower_value_from_inner, moment_monte_carlo
 
 UPPER_SIMPLE_TABLE = {0.1: 1, 0.3: 1, 0.5: 1, 0.7: 2, 0.9: 2}
@@ -251,8 +251,8 @@ def test_criterion_10_deterministic_sweep():
     # reference grids omit, and those rows are annotated as non-converged.
     # The criterion is about byte determinism of the CSV, which must hold
     # regardless.
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=child_env())
+    second = subprocess.run(argv, capture_output=True, env=child_env())
     ok = first.stdout == second.stdout and len(first.stdout) > 0
     lines = first.stdout.decode().count("\n")
     _report(10, ok, f"{lines} CSV lines, byte-identical: {first.stdout == second.stdout}")

@@ -36,7 +36,8 @@ class TestProblemShape:
 
     @pytest.mark.parametrize(
         "alpha,beta",
-        [(0.5, 0.5), (0.5, 0.6), (1.1, 0.2), (0.5, 0.0), (0.5, -0.1), (0.0, 0.0)],
+        [(0.5, 0.5), (0.5, 0.6), (1.1, 0.2), (0.5, 0.0), (0.5, -0.1), (0.0, 0.0),
+         (0.5, 1e-7), (1.0, 0.9999995)],
     )
     def test_rejects_invalid(self, alpha, beta):
         with pytest.raises(ValueError):

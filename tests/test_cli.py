@@ -11,6 +11,8 @@ from ric_bounds.bounds_lifted import signed_value
 from ric_bounds.bounds_simple import BOUND_KINDS
 from ric_bounds.cli import CSV_HEADER, main
 
+from conftest import child_env
+
 FAST = ["--outer-tol", "1e-3", "--inner-tol", "1e-8", "--max-evals", "4000"]
 
 
@@ -222,6 +224,17 @@ class TestEmpirical:
         assert out == ""
         assert err.startswith("error: ") and "--slack" in err and err.count("\n") == 1
 
+    def test_beta_outside_domain_exits_2_before_the_oracle(self, capsys, monkeypatch):
+        """k/n = 5e-7 is below BETA_MIN while 0 < k < m < n holds: the
+        shape check rejects it before the oracle runs, as ``bound`` does."""
+        def oracle(*args, **kwargs):
+            pytest.fail("the empirical oracle ran on an out-of-domain shape")
+        monkeypatch.setattr(cli, "empirical_ric", oracle)
+        code, out, err = run_cli(["empirical", "--m", "2", "--n", "2000000", "--k", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: beta must lie in ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_non_converged_lifted_bound_exits_3(self, fmt, capsys):
         """At (10, 40, 9) the lower family's optimum lies past the searched
@@ -393,6 +406,7 @@ class TestEntryPoint:
              "--alpha", "0.5", "--rho", "0.1"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "value: 1.74713" in proc.stdout
@@ -402,6 +416,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "ric_bounds.cli", "bound", "--kind", "sideways"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 2
 

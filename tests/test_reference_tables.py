@@ -1,8 +1,10 @@
 """Embedded reference grid: counts, spot cells, relations, consistency."""
 
+from pathlib import Path
+
 import pytest
 
-from ric_bounds import bt_relation, entries, lookup
+from ric_bounds import bt_relation, entries, lookup, reference_tables
 from ric_bounds.bounds_simple import BOUND_KINDS
 from ric_bounds.reference_tables import _KIND_SOURCES, reference_for_kind
 
@@ -30,6 +32,40 @@ class TestLoader:
     def test_keys_unique(self):
         keys = {(e.table_id, e.alpha, e.rho, e.quantity) for e in entries()}
         assert len(keys) == len(entries())
+
+
+class TestLoaderRejections:
+    """A corrupted asset fails on load with an error naming the fault.  Each
+    case loads a corrupted copy of the asset from a temporary package
+    directory, with the loader's caches cleared before and after."""
+
+    @pytest.fixture
+    def load_corrupted(self, tmp_path, monkeypatch):
+        asset = Path(reference_tables.__file__).parent / "data" / "tables.csv"
+        lines = asset.read_text().splitlines()
+        (tmp_path / "data").mkdir()
+        monkeypatch.setattr(reference_tables, "__file__", str(tmp_path / "reference_tables.py"))
+
+        def load(corrupt):
+            (tmp_path / "data" / "tables.csv").write_text("\n".join(corrupt(lines)) + "\n")
+            return reference_tables._load()
+
+        for cache in (reference_tables._load, reference_tables._kind_index):
+            cache.cache_clear()
+        yield load
+        for cache in (reference_tables._load, reference_tables._kind_index):
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda lines: [lines[0].replace("xi_uric_BT", "xi_bogus"), *lines[1:]],
+         "unknown quantity in reference asset: 'xi_bogus'"),
+        (lambda lines: [*lines, lines[0]], "duplicate reference cell"),
+        (lambda lines: lines[:-1], "reference asset cell counts are wrong"),
+        (lambda lines: [lines[0] + ",0", *lines[1:]], "values to unpack"),
+    ], ids=["unknown-quantity", "duplicate-cell", "wrong-cell-counts", "wrong-field-count"])
+    def test_rejects(self, load_corrupted, corrupt, message):
+        with pytest.raises(ValueError, match=message):
+            load_corrupted(corrupt)
 
 
 class TestLookup:

@@ -2,9 +2,11 @@
 `ric-bounds sweep` stdout on ``perfbench.workloads.sweep_grid(seed)`` at
 seeds 0-9 (seed 0 is the default grid) and each grid's count of rows with
 converged=false.  The default grid is also pinned under two non-default
-configs: criterion 10's flags and a bracket widened to c3 <= 1e150.  A change to the solver that moves any byte of a row, or
-turns a row converged or non-converged, shows here before it shows as a
-changed digest or failure share in a benchmark run.  The digests hold on
+configs: criterion 10's flags and a bracket widened to c3 <= 1e150, and
+its full-precision JSON is pinned as well.  A change to the solver that
+moves any byte of a row, or turns a row converged or non-converged, shows
+here before it shows as a changed digest or failure share in a benchmark
+run.  The digests hold on
 the platform libm they were taken with (see ROADMAP, item 6's "Not
 checked")."""
 
@@ -74,3 +76,17 @@ def test_non_default_config_output_is_pinned(config):
     assert len(rows) == 120 and rc == (3 if failed else 0)
     assert sum(row["converged"] == "false" for row in rows) == failed
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# SHA-256 of `ric-bounds sweep --format json` stdout on the default grid.
+# JSON carries every float at full precision (repr), so this pins value,
+# c3, gamma, nu and inner_delta bit for bit where the CSV pins see 6 digits.
+PINNED_JSON = "c728391dba74ea0d1ba7daadefa00ecfb44a1faa9910b7b44592741e0599c21c"
+
+
+def test_default_sweep_json_is_pinned():
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = cli.main(["sweep", "--format", "json"])
+    assert rc == 3
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_JSON
