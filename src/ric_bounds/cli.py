@@ -2,9 +2,9 @@
 
 Three subcommands:
 
-* ``bound``: one bound at one shape, printing the value, the achieving
-  (c3, gamma, nu) for the lifted kinds, and a convergence flag.  JSON rows
-  of both commands also carry ``inner_delta``, the exact gamma - c3/2.
+* ``bound``: one bound at one shape, as text (value, achieving (c3,
+  gamma, nu) for the lifted kinds, convergence flag) or as the cell's
+  ``sweep`` row.  JSON rows carry ``inner_delta``, the exact gamma - c3/2.
 * ``sweep``: a grid of (alpha, rho, kind) cells rendered as CSV or JSON
   with reference values and deltas where the embedded tables carry the
   cell.  Row order is deterministic: alpha major, rho minor, kind last.
@@ -111,7 +111,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outer-tol", type=float, default=defaults.outer_tol,
                         help="largest Newton step in log c3 (a relative change of c3) "
                              "with which the solve stops")
-    parser.add_argument("--c3-min", type=float, default=defaults.c3_bracket[0])
+    parser.add_argument("--c3-min", type=float, default=defaults.c3_bracket[0],
+                        help="lower end of the c3 search; default and least value 64 eps "
+                             "(about 1.4e-14): below it the slope is rounding noise")
     parser.add_argument("--c3-max", type=float, default=defaults.c3_bracket[1])
     parser.add_argument("--max-evals", type=int, default=defaults.max_evals,
                         help="cap on objective evaluations per lifted bound")
@@ -137,7 +139,7 @@ def _cmd_bound(args, config: OptimizerConfig, out) -> int:
     result = _compute_bound(args.kind, shape, config)
 
     if args.format != "text":
-        row = _row_dict(shape.alpha, shape.rho, args.kind, result, reference=None)
+        row = _row_dict(shape.alpha, shape.rho, args.kind, result)
         _write_rows(args, ("kind", "alpha", "beta", "rho", "format"), [row], out)
     else:
         out.write(f"kind: {args.kind}\n")
@@ -157,7 +159,8 @@ def _cmd_bound(args, config: OptimizerConfig, out) -> int:
 
 
 def _row_dict(alpha: float, rho: float, kind: str, result: BoundResult | None,
-              reference: float | None, error: str | None = None) -> dict:
+              error: str | None = None) -> dict:
+    reference = reference_for_kind(kind, alpha, rho)
     row = {
         "alpha": alpha,
         "rho": rho,
@@ -212,13 +215,12 @@ def _write_rows(args, fields: tuple[str, ...], rows: list[dict], out) -> None:
 
 
 def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) -> dict:
-    reference = reference_for_kind(kind, alpha, rho)
     try:
         shape = ProblemShape.from_rho(alpha, rho)
         result = _compute_bound(kind, shape, config)
     except ValueError as exc:
-        return _row_dict(alpha, rho, kind, None, reference, error=str(exc))
-    return _row_dict(alpha, rho, kind, result, reference)
+        return _row_dict(alpha, rho, kind, None, error=str(exc))
+    return _row_dict(alpha, rho, kind, result)
 
 
 def _cmd_sweep(args, config: OptimizerConfig, out) -> int:

@@ -35,7 +35,8 @@ block's lower triangle once and factoring both sides in one pass, with
 a margin sized by the backward error of float32 Cholesky; eigvalsh runs
 in float64 on the original.  The reported extremes are exactly those of
 eigvalsh over all supports.  Each empirical_ric call allocates the
-arrays of both steps once and reuses them across chunks and trials.
+screen's arrays once and reuses them across chunks and trials; the
+sampler allocates its own per batch, as reusing them did not pay.
 
 In exhaustive mode the supports are not listed.  A lex subset lattice
 builds each block's factor row by row: the last row of S comes from
@@ -201,8 +202,7 @@ def _colex_weights(n: int, k: int) -> np.ndarray:
     return binom
 
 
-def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int,
-                      work: dict | None = None) -> np.ndarray:
+def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int) -> np.ndarray:
     """First `budget` distinct supports of the deterministic (seed, trial)
     sequence.  Prefixes of the same sequence are nested, so growing the
     budget can only extend the support set.
@@ -213,7 +213,7 @@ def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int,
     narrowest unsigned dtype that holds n - 1.  Repeats are keyed by the
     colex rank sum_i C(s_i, i+1) of the sorted row, which wraps in uint64
     and is injective while C(n, k) < 2^64.  The budget-th distinct support
-    must come from a counter below 50 * budget + 1000.  Arrays live in work."""
+    must come from a counter below 50 * budget + 1000."""
     base = _mix64_array(_trial_base(seed, trial) ^ np.uint64(0x5851F42D4C957F2D))
     binom = _colex_weights(n, k)
     narrow = np.min_scalar_type(n - 1)
@@ -230,11 +230,9 @@ def _sampled_supports(n: int, k: int, budget: int, seed: int, trial: int,
     stop = min(math.ceil(draws + 4.0 * math.sqrt(max(draws - budget, 0.0))) + 16, limit)
     while True:
         count, size = stop - start, found.shape[0] + stop - start
-        state, spare, key = (_buffer(work, name, (size,), np.uint64)
-                             for name in ("state", "spare", "key"))
-        hits = _buffer(work, "hits", (k, count), bool)
-        chosen = _buffer(work, "chosen", (k, count), narrow)
-        state = _mix64_array(np.arange(start, stop, dtype=np.uint64), state[:count], spare[:count])
+        spare, key = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        hits, chosen = np.empty((k, count), dtype=bool), np.empty((k, count), dtype=narrow)
+        state = _mix64_array(np.arange(start, stop, dtype=np.uint64), spare=spare[:count])
         state ^= base
         _mix64_array(state, state, spare[:count])
         for i, j in enumerate(range(n - k, n)):
@@ -513,7 +511,7 @@ def empirical_ric(
         else:
             # One call, so each trial's supports are freed before the next's.
             lam_min, lam_max = _extreme_gram_eigs(
-                gram_full, _sampled_supports(n, k, support_budget, seed, trial, work), work)
+                gram_full, _sampled_supports(n, k, support_budget, seed, trial), work)
         uric_per_trial.append(math.sqrt(max(lam_max, 0.0)) / sqrt_m)
         lric_per_trial.append(math.sqrt(max(lam_min, 0.0)) / sqrt_m)
 

@@ -106,10 +106,11 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
         change of c3, with which the joint solve may stop.
     c3_bracket: (lo, hi) for c3; the joint solve runs on the bracket
         widened 4x on each side, [lo/4, 4 hi], and stops at an end of it
-        where the objective's slope still points outward.  lo must be at
-        least 64 eps (about 1.4e-14), where the slope is still more than
-        rounding noise, and hi at most sqrt(float max)/8 (about 1.68e153),
-        where the spherical term is still finite at 4 hi.
+        where the objective's slope still points outward.  lo is at least
+        64 eps (about 1.4e-14), the default, below which the slope is
+        rounding noise (every c3 >= 0 gives a valid bound, so the search
+        goes that near the c3 -> 0 limit); hi is at most sqrt(float max)/8
+        (about 1.68e153), where the spherical term is finite at 4 hi.
     max_evals: cap on the evaluations of K per cell (per solve in
         :func:`minimize_inner`), rejected line-search trials included.  A
         run that reaches the cap stops there, non-converged.
@@ -118,7 +119,7 @@ class OptimizerConfig(namedtuple("OptimizerConfig", ("inner_tol", "outer_tol", "
     __slots__ = ()
 
     def __new__(cls, inner_tol: float = 1e-10, outer_tol: float = 1e-6,
-                c3_bracket: tuple[float, float] = (1e-4, 64.0),
+                c3_bracket: tuple[float, float] = (_C3_FLOOR, 64.0),
                 max_evals: int = 20000) -> OptimizerConfig:
         self = super().__new__(cls, inner_tol, outer_tol, c3_bracket, max_evals)
         if not (inner_tol > 0.0 and outer_tol > 0.0):
@@ -415,21 +416,19 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     c3 = ends.get(t) or math.exp(t)
     point, c3, delta, nu, evals, converged, edge = _joint_newton(
         beta, alpha, branch, t, ends, cfg, cfg.max_evals, *_newton_start(c3, beta))
-    value = point[0] / math.sqrt(alpha)  # V = K + I_sph at the run's end
-    # The c3 -> 0 limit is exactly the simple bound; listing it with c3 = 0
-    # both enforces never-worse-than-limit and wins ties at the smallest c3.
-    limit_value = simple_upper(shape).value if upper else -simple_lower(shape).value
-    if limit_value <= value:
-        # The limit is the optimum where the run converged or stopped at
-        # the lower end; a run that stopped at the upper end has its
-        # optimum at or past 4 hi: non-converged, whatever the limit.
-        converged = (converged or edge) and not (edge and c3 == 4.0 * hi)
-        # At c3 = 0 the Newton start is the c3 -> 0 optimum, with delta = gamma.
-        value, params = limit_value, LiftedParams(0.0, *_newton_start(0.0, beta))
-    else:
-        # A run that stopped at either end has its optimum past that end.
-        params = LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta)
-        converged = converged and not edge
+    # Candidates (signed value, c3, params, converged): the c3 -> 0 limit
+    # (the simple bound, at its Newton start, delta = gamma) and the run's
+    # end (V = K + I_sph).  The min on (value, c3) keeps every value at or
+    # below the limit and gives it ties.  A run that stopped at an end has
+    # its optimum past it: non-converged.  The limit is the optimum where
+    # the run converged or stopped at the lower end, but not at 4 hi.
+    value, _c3, params, converged = min(
+        ((simple_upper(shape).value if upper else -simple_lower(shape).value, 0.0,
+          LiftedParams(0.0, *_newton_start(0.0, beta)),
+          (converged or edge) and not (edge and c3 == 4.0 * hi)),
+         (point[0] / math.sqrt(alpha), c3, LiftedParams(c3, 0.5 * c3 + delta, nu, delta),
+          converged and not edge)),
+        key=lambda candidate: candidate[:2])
     return BoundResult(kind=kind, value=value if upper else -value, params=params,
                        converged=converged, evaluations=evals)
 

@@ -159,20 +159,21 @@ class TestSweep:
         assert first == second
 
     def test_lifted_rows_match_single_bounds(self, capsys):
-        """Each swept lifted row prints the same fields as a single bound
-        at its shape."""
-        kinds = ["upper-lifted", "lower-lifted"]
+        """Each swept row, reference and delta included, is the row of a
+        single bound at its shape, for a simple kind and both lifted ones."""
+        kinds = ["upper-simple", "upper-lifted", "lower-lifted"]
         _, out, _ = run_cli(
             ["sweep", "--alphas", "0.3", "--rhos", "0.1", "0.3", "--kinds", *kinds] + FAST,
             capsys,
         )
-        swept = [line.split(",")[3:8] for line in out.strip().splitlines()[1:]]
+        swept = [line.split(",") for line in out.strip().splitlines()[1:]]
         single = []
         for rho in ("0.1", "0.3"):
             for kind in kinds:
                 _, row, _ = run_cli(["bound", "--kind", kind, "--alpha", "0.3", "--rho", rho,
                                      "--format", "csv"] + FAST, capsys)
-                single.append(row.strip().splitlines()[1].split(",")[3:8])
+                single.append(row.strip().splitlines()[1].split(","))
+        assert all(len(row) == 10 for row in swept) and any(row[8] for row in swept)
         assert swept == single
 
 

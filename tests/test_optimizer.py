@@ -41,7 +41,7 @@ class TestConfig:
         cfg = OptimizerConfig()
         assert cfg.inner_tol == 1e-10
         assert cfg.outer_tol == 1e-6
-        assert cfg.c3_bracket == (1e-4, 64.0)
+        assert cfg.c3_bracket == (optimizer._C3_FLOOR, 64.0)
         assert cfg.max_evals == 20000
 
     @pytest.mark.parametrize(
@@ -301,6 +301,14 @@ class TestOptimizeUpper:
         assert result.converged
         assert result.value <= expected + 5e-3
         assert result.value >= expected - 5e-3  # no silent large overshoot either
+
+    def test_optimum_near_the_c3_floor_converges(self):
+        """Upper (0.99, 0.98) peaks at c3 ~ 2.07e-5, inside the default
+        bracket from the c3 floor; from a lower end of 1e-4 the run stopped
+        at lo/4 = 2.5e-5, non-converged, at 2.0050308502022167."""
+        result = optimize_upper(ProblemShape.from_rho(0.99, 0.98))
+        assert result.converged and result.value <= 2.0050308502022167
+        assert 0.0 < result.params.c3 < 2.5e-5
 
     def test_flat_cell_sits_at_tiny_c3(self):
         """At alpha=0.9, rho=0.9 the optimized bound equals the closed form
@@ -568,6 +576,68 @@ class TestJointSolve:
                             assert free.params.c3 == 0.0, (alpha, rho, optimize, cap)
 
 
+class TestDenseGrid:
+    """Invariants on a 9 x 199 grid, alpha in ALPHAS and rho = i/200, far
+    denser than the default one: monotone in rho, never worse than the
+    closed forms, every upper cell converged, and the evaluation total.
+    Lower cells with their maximum past the bracket stay non-converged
+    (513 of 1,791), so lower convergence is not asserted."""
+
+    ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99)
+    RHOS = tuple(i / 200 for i in range(1, 200))
+    # Evaluations of all 3,582 lifted cells under the default config, as
+    # measured, so that a later change cannot quietly multiply the cost.
+    MAX_EVALUATIONS = 36036
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        """{kind: {alpha: [BoundResult per rho]}}."""
+        solvers = {"upper-simple": simple_upper, KIND_UPPER_LIFTED: optimize_upper,
+                   "lower-simple": simple_lower, KIND_LOWER_LIFTED: optimize_lower}
+        return {kind: {alpha: [solve(ProblemShape.from_rho(alpha, rho)) for rho in self.RHOS]
+                       for alpha in self.ALPHAS}
+                for kind, solve in solvers.items()}
+
+    def test_monotone_in_rho_between_converged_neighbours(self, grid):
+        for kind, rows in grid.items():
+            sign = 1.0 if kind.startswith("upper") else -1.0
+            for alpha, results in rows.items():
+                for rho, a, b in zip(self.RHOS[1:], results, results[1:]):
+                    if a.converged and b.converged:
+                        assert sign * b.value >= sign * a.value, (kind, alpha, rho)
+
+    def test_lifted_never_worse_than_simple(self, grid):
+        for alpha in self.ALPHAS:
+            for rho, lifted, simple in zip(self.RHOS, grid[KIND_UPPER_LIFTED][alpha],
+                                           grid["upper-simple"][alpha]):
+                assert lifted.value <= simple.value, (alpha, rho)
+            for rho, lifted, simple in zip(self.RHOS, grid[KIND_LOWER_LIFTED][alpha],
+                                           grid["lower-simple"][alpha]):
+                assert lifted.value >= simple.value, (alpha, rho)
+
+    def test_lifted_never_worse_than_simple_on_a_tiny_budget(self, grid):
+        """Under the default budget every run here beats the c3 -> 0 limit;
+        cut off after 2 evaluations, many do not, and the limit candidate
+        is what keeps each value at or past the simple bound."""
+        config = OptimizerConfig(max_evals=2)
+        for alpha in self.ALPHAS:
+            for rho, upper, lower in zip(self.RHOS, grid["upper-simple"][alpha],
+                                         grid["lower-simple"][alpha]):
+                shape = ProblemShape.from_rho(alpha, rho)
+                assert optimize_upper(shape, config).value <= upper.value, (alpha, rho)
+                assert optimize_lower(shape, config).value >= lower.value, (alpha, rho)
+
+    def test_every_upper_cell_converges(self, grid):
+        for alpha, results in grid[KIND_UPPER_LIFTED].items():
+            for rho, result in zip(self.RHOS, results):
+                assert result.converged, (alpha, rho, result)
+
+    def test_evaluation_total(self, grid):
+        total = sum(result.evaluations for kind in (KIND_UPPER_LIFTED, KIND_LOWER_LIFTED)
+                    for results in grid[kind].values() for result in results)
+        assert total <= self.MAX_EVALUATIONS
+
+
 class TestOuterSearchMatchesReference:
     """Brent's search over log c3 against the scan, widen-once rule and
     golden section it replaced (``oracles.optimize_outer_scan``) on the
@@ -578,7 +648,9 @@ class TestOuterSearchMatchesReference:
 
     @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
     def test_default_shapes(self, upper):
-        cfg = OptimizerConfig()
+        # The scan's 25 log-spaced points were sized for this bracket; over
+        # the default one, from the c3 floor, they span about 17 decades.
+        cfg = OptimizerConfig(c3_bracket=(1e-4, 64.0))
         optimize = optimize_upper if upper else optimize_lower
         for alpha in DEFAULT_ALPHAS:
             for rho in DEFAULT_RHOS:

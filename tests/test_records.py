@@ -26,7 +26,7 @@ from ric_bounds import (
     ReferenceEntry,
     reference_tables,
 )
-from ric_bounds.optimizer import DEFAULT_CONFIG
+from ric_bounds.optimizer import _C3_FLOOR, DEFAULT_CONFIG
 
 PARAMS = LiftedParams(1.0, 0.75, 2.0, 0.25)
 ENTRIES = np.zeros((2, 3))
@@ -179,13 +179,14 @@ class TestLiftedParams:
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
-        assert cfg == (1e-10, 1e-6, (1e-4, 64.0), 20000)
+        assert cfg == (1e-10, 1e-6, (_C3_FLOOR, 64.0), 20000)
         assert cfg == DEFAULT_CONFIG
-        assert OptimizerConfig(max_evals=50) == (1e-10, 1e-6, (1e-4, 64.0), 50)
+        assert OptimizerConfig(max_evals=50) == (1e-10, 1e-6, (_C3_FLOOR, 64.0), 50)
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"inner_tol": 0.0}, r"tolerances must be positive, got OptimizerConfig\(inner_tol=0.0, "
-                             r"outer_tol=1e-06, c3_bracket=\(0.0001, 64.0\), max_evals=20000\)"),
+                             r"outer_tol=1e-06, c3_bracket=\(1.4210854715202004e-14, 64.0\), "
+                             r"max_evals=20000\)"),
         ({"outer_tol": -1.0}, r"tolerances must be positive"),
         ({"c3_bracket": (1.0, 1.0)}, r"c3 bracket must satisfy .* <= lo < hi <= .*, got \(1.0, 1.0\)"),
         ({"c3_bracket": (1e-4, 1e160)}, r"c3 bracket must satisfy"),
