@@ -15,12 +15,13 @@ Three subcommands:
   found (sampled)".
 
 Exit codes: 0 success, 2 invalid shape/dimensions, optimizer flags or a
-non-finite --slack (argparse usage errors also exit 2), 3 optimizer
-non-convergence in ``bound``, a ``sweep`` row (or a failed row) or a
-lifted bound of ``empirical``; the last two name each on an ``error:``
-line, and values and the verdict are still printed.  Usage errors are
-checked in order, argparse's, then the optimizer flags, then the shape
-or dimensions, and the first one found is the one named.
+non-finite --slack, --alphas or --rhos value (argparse usage errors also
+exit 2), 3 optimizer non-convergence in ``bound``, a ``sweep`` row (or a
+failed row) or a lifted bound of ``empirical``; the last two name each
+on an ``error:`` line, and values and the verdict are still printed.
+Usage errors are checked in order, argparse's, then the optimizer flags,
+then the grid values, shape or dimensions, and the first one found is
+the one named.
 
 All output is deterministic for identical invocations: floats render
 with %.6g, nothing timestamps, and sweep cells are computed one after
@@ -57,14 +58,20 @@ from .optimizer import OptimizerConfig, optimize_lower, optimize_upper
 from .reference_tables import reference_for_kind
 
 CSV_HEADER = "alpha,rho,kind,value,c3,gamma,nu,converged,reference,delta"
+_FIELDS = CSV_HEADER.split(",")
 
 DEFAULT_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_RHOS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def _fmt(x: float | None) -> str:
+def _fmt(x: float | bool | str | None) -> str:
+    """One output field: "" for None, true/false, a string as it is, a float at %.6g."""
     if x is None:
         return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return x
     if x == 0.0:  # normalize -0.0
         x = 0.0
     return "%.6g" % x
@@ -150,7 +157,7 @@ def _cmd_bound(args, config: OptimizerConfig, out) -> int:
             out.write(f"c3: {_fmt(result.params.c3)}\n")
             out.write(f"gamma: {_fmt(result.params.gamma)}\n")
             out.write(f"nu: {_fmt(result.params.nu)}\n")
-        out.write(f"converged: {'true' if result.converged else 'false'}\n")
+        out.write(f"converged: {_fmt(result.converged)}\n")
         out.write(f"evaluations: {result.evaluations}\n")
     return 0 if result.converged else 3
 
@@ -160,47 +167,21 @@ def _cmd_bound(args, config: OptimizerConfig, out) -> int:
 
 def _row_dict(alpha: float, rho: float, kind: str, result: BoundResult | None,
               error: str | None = None) -> dict:
+    """The cell's row: ``CSV_HEADER``'s fields, ``inner_delta`` and, if it failed, ``error``."""
     reference = reference_for_kind(kind, alpha, rho)
-    row = {
-        "alpha": alpha,
-        "rho": rho,
-        "kind": kind,
-        "value": None if result is None else result.value,
-        "c3": None,
-        "gamma": None,
-        "nu": None,
-        "converged": False if result is None else result.converged,
-        "reference": reference,
-        "delta": None,
-        "inner_delta": None,
-    }
-    if result is not None and result.params is not None:
-        row["c3"] = result.params.c3
-        row["gamma"] = result.params.gamma
-        row["nu"] = result.params.nu
-        row["inner_delta"] = result.params.delta
-    if result is not None and reference is not None:
-        row["delta"] = result.value - reference
+    value = c3 = gamma = nu = inner_delta = delta = None
+    if result is not None:
+        value = result.value
+        if result.params is not None:
+            c3, gamma, nu, inner_delta = result.params
+        if reference is not None:
+            delta = value - reference
+    converged = result is not None and result.converged
+    row = dict(zip(_FIELDS, (alpha, rho, kind, value, c3, gamma, nu, converged, reference, delta)))
+    row["inner_delta"] = inner_delta
     if error is not None:
         row["error"] = error
     return row
-
-
-def _row_csv(row: dict) -> str:
-    return ",".join(
-        [
-            _fmt(row["alpha"]),
-            _fmt(row["rho"]),
-            row["kind"],
-            _fmt(row["value"]),
-            _fmt(row["c3"]),
-            _fmt(row["gamma"]),
-            _fmt(row["nu"]),
-            "true" if row["converged"] else "false",
-            _fmt(row["reference"]),
-            _fmt(row["delta"]),
-        ]
-    )
 
 
 def _write_rows(args, fields: tuple[str, ...], rows: list[dict], out) -> None:
@@ -211,7 +192,7 @@ def _write_rows(args, fields: tuple[str, ...], rows: list[dict], out) -> None:
     else:
         out.write(CSV_HEADER + "\n")
         for row in rows:
-            out.write(_row_csv(row) + "\n")
+            out.write(",".join([_fmt(row[field]) for field in _FIELDS]) + "\n")
 
 
 def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) -> dict:
@@ -224,6 +205,9 @@ def _sweep_cell(alpha: float, rho: float, kind: str, config: OptimizerConfig) ->
 
 
 def _cmd_sweep(args, config: OptimizerConfig, out) -> int:
+    for flag, values in (("--alphas", args.alphas), ("--rhos", args.rhos)):
+        if not all(map(math.isfinite, values)):
+            return _usage_error(ValueError(f"{flag} must be finite, got {values}"))
     kinds = [k for k in BOUND_KINDS if k in set(args.kinds)]
     rows = [_sweep_cell(a, r, k, config) for a in args.alphas for r in args.rhos for k in kinds]
 

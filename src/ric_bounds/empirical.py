@@ -34,9 +34,10 @@ float32 on a copy of A^T A rescaled by a power of two, gathering each
 block's lower triangle once and factoring both sides in one pass, with
 a margin sized by the backward error of float32 Cholesky; eigvalsh runs
 in float64 on the original.  The reported extremes are exactly those of
-eigvalsh over all supports.  Each empirical_ric call allocates the
-screen's arrays once and reuses them across chunks and trials; the
-sampler allocates its own per batch, as reusing them did not pay.
+eigvalsh over all supports.  In sampled mode each empirical_ric call
+allocates the screen's arrays once and reuses them across chunks and
+trials; the sampler allocates its own per batch, as reusing them did not
+pay.
 
 In exhaustive mode the supports are not listed.  A lex subset lattice
 builds each block's factor row by row: the last row of S comes from
@@ -502,7 +503,7 @@ def empirical_ric(
     sqrt_m = math.sqrt(m)
     uric_per_trial: list[float] = []
     lric_per_trial: list[float] = []
-    work: dict = {}  # buffers reused across the trials of this call
+    work: dict = {}  # the screen's buffers, reused across sampled trials
     for trial in range(trials):
         matrix = sample_matrix(m, n, seed, trial)
         gram_full = matrix.entries.T @ matrix.entries

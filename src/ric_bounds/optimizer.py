@@ -249,7 +249,7 @@ def minimize_inner(c3: float, beta: float, config: OptimizerConfig | None = None
 
     t = math.log(c3)
     point, _c3, delta, nu, evals, converged, _edge = _joint_newton(
-        beta, None, None, t, {t: c3}, cfg, cfg.max_evals, *_newton_start(c3, beta))
+        beta, None, None, t, {t: c3}, cfg, *_newton_start(c3, beta))
     return OptimReport(
         best_params=LiftedParams(c3=c3, gamma=0.5 * c3 + delta, nu=nu, delta=delta),
         best_value=point[3],
@@ -346,8 +346,7 @@ def _joint_step(grad, hess, t: float, t_lo: float, t_hi: float):
 
 
 def _joint_newton(beta: float, alpha: float | None, branch: SphBranch | None, t: float,
-                  ends: dict[float, float], cfg: OptimizerConfig, max_evals: int,
-                  delta: float, nu: float):
+                  ends: dict[float, float], cfg: OptimizerConfig, delta: float, nu: float):
     """Projected damped Newton on V from t, within the keys of ``ends``,
     which map the bounds on t to their exact c3 (one key pins t).  Returns
     (point, c3, delta, nu, evaluations, converged, edge): point is
@@ -387,7 +386,7 @@ def _joint_newton(beta: float, alpha: float | None, branch: SphBranch | None, t:
         if step_n < 0.0:
             a = min(a, -_TO_BOUNDARY * nu / step_n)
         while True:
-            if evals >= max_evals or a < _MIN_STEP:
+            if evals >= cfg.max_evals or a < _MIN_STEP:
                 return point, c3, delta, nu, evals, converged, edge
             trial_t = end_t if a == 1.0 else t + a * step_t
             trial_c3 = ends.get(trial_t) or math.exp(trial_t)
@@ -415,7 +414,7 @@ def _optimize_outer(shape: ProblemShape, cfg: OptimizerConfig, kind: str) -> Bou
     t = min(max(math.log(_START_C3[upper]), min(ends)), max(ends))
     c3 = ends.get(t) or math.exp(t)
     point, c3, delta, nu, evals, converged, edge = _joint_newton(
-        beta, alpha, branch, t, ends, cfg, cfg.max_evals, *_newton_start(c3, beta))
+        beta, alpha, branch, t, ends, cfg, *_newton_start(c3, beta))
     # Candidates (signed value, c3, params, converged): the c3 -> 0 limit
     # (the simple bound, at its Newton start, delta = gamma) and the run's
     # end (V = K + I_sph).  The min on (value, c3) keeps every value at or

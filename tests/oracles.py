@@ -394,9 +394,9 @@ def extreme_gram_eigs_unscreened(gram_full: np.ndarray, supports: np.ndarray) ->
 # --- the replaced c3 search ---------------------------------------------------
 #
 # The package once found c3 by a log scan, a widening rule and golden
-# section.  Brent's method replaced them; it follows another path, so the
-# tests compare its results with this search's within the inner solve's
-# noise instead of bit for bit.
+# section.  One projected Newton run in (log c3, delta, nu) replaced them;
+# it follows another path, so the tests compare its results with this
+# search's within the inner solve's noise instead of bit for bit.
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -424,11 +424,12 @@ def _golden_section(f, a, b, tol):
 
 
 def optimize_outer_scan(shape, cfg, upper: bool) -> tuple[float, float, bool]:
-    """The c3 search as a 25-point log scan of ``cfg.c3_bracket``, widened 4x
-    once when the best point sits on an edge, then golden section with
-    absolute width ``cfg.outer_tol`` between the best point's neighbours.
-    Returns (value, c3, converged) like ``optimizer._optimize_outer``; c3
-    is 0 when the c3 -> 0 limit (the simple bound) wins."""
+    """The c3 search as a log scan of ``cfg.c3_bracket``, at least 25 points
+    and 4 per decade, widened 4x once when the best point sits on an edge,
+    then golden section with absolute width ``cfg.outer_tol`` between the
+    best point's neighbours.  Returns (value, c3, converged) like
+    ``optimizer._optimize_outer``; c3 is 0 when the c3 -> 0 limit (the
+    simple bound) wins."""
     reports = {}
 
     def signed_objective(c3):
@@ -437,14 +438,15 @@ def optimize_outer_scan(shape, cfg, upper: bool) -> tuple[float, float, bool]:
         branch = SphBranch.PLUS if upper else SphBranch.MINUS
         return signed_value(c3, shape.alpha, reports[c3].best_value, branch)
 
-    def log_grid(lo, hi, count):
+    def log_grid(lo, hi):
         ratio = hi / lo
+        count = max(25, math.ceil(4.0 * math.log10(ratio)) + 1)
         return [lo * ratio ** (i / (count - 1)) for i in range(count)]
 
     lo, hi = cfg.c3_bracket
     edge_fail = False
     for attempt in (0, 1):
-        grid = log_grid(lo, hi, 25)
+        grid = log_grid(lo, hi)
         vals = [signed_objective(c) for c in grid]
         i_best = min(range(len(grid)), key=lambda i: (vals[i], i))
         at_edge = i_best in (0, len(grid) - 1)

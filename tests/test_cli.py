@@ -176,6 +176,50 @@ class TestSweep:
         assert all(len(row) == 10 for row in swept) and any(row[8] for row in swept)
         assert swept == single
 
+    def test_json_and_csv_rows_share_one_field_list(self, capsys):
+        """Over simple, lifted and failed cells, each JSON row holds
+        CSV_HEADER's fields, inner_delta and, on a failed cell only, error;
+        each CSV field is its JSON value at %.6g, as true/false, or empty."""
+        argv = ["sweep", "--alphas", "0.5", "--rhos", "0.1", "1.0"]
+        json_code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        rows = json.loads(out)["rows"]
+        csv_code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        lines = out.splitlines()
+        assert json_code == csv_code == 3 and lines[0] == CSV_HEADER
+        assert len(lines) == len(rows) + 1 == 9
+
+        def render(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, str):
+                return value
+            return "%.6g" % (0.0 if value == 0.0 else value)
+
+        fields = CSV_HEADER.split(",")
+        for row, line in zip(rows, lines[1:]):
+            failed = row["value"] is None
+            assert set(row) == {*fields, "inner_delta", *(["error"] if failed else [])}
+            assert line.split(",") == [render(row[field]) for field in fields]
+        kinds = {(row["kind"], row["value"] is None) for row in rows}
+        assert kinds == {(kind, failed) for kind in BOUND_KINDS for failed in (False, True)}
+        assert any(row["c3"] is not None for row in rows) and any(row["delta"] for row in rows)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--alphas", "--rhos"])
+    def test_non_finite_grid_value_exits_2(self, flag, value, capsys):
+        """NaN is not JSON and names no cell: a usage error, nothing on stdout."""
+        argv = ["sweep", "--alphas", "0.5", "--rhos", "0.3", f"{flag}={value}", "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must be finite") and err.count("\n") == 1
+
+    def test_optimizer_flags_are_checked_before_the_grid(self, capsys):
+        code, out, err = run_cli(["sweep", "--alphas", "nan", "--max-evals", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert "--alphas" not in err and "budget" in err
+
 
 class TestEmpirical:
     ARGS = ["empirical", "--m", "5", "--n", "8", "--k", "2", "--trials", "5", "--seed", "1",

@@ -265,7 +265,7 @@ class TestWarmStart:
         """(K, evaluations, converged) of the run from (delta, nu)."""
         t = math.log(c3)
         point, _c3, _delta, _nu, evals, converged, _edge = optimizer._joint_newton(
-            beta, None, None, t, {t: c3}, OptimizerConfig(), 100, delta, nu)
+            beta, None, None, t, {t: c3}, OptimizerConfig(max_evals=100), delta, nu)
         return point[3], evals, converged
 
     @pytest.mark.parametrize("beta", BETAS)
@@ -534,8 +534,8 @@ class TestJointSolve:
         monkeypatch.setattr(optimizer, "_joint_point", flat)
         ends = {-10.0: math.exp(-10.0), 10.0: math.exp(10.0)}
         start = optimizer._newton_start(1.0, 0.1)
-        run = optimizer._joint_newton(0.1, 0.5, SphBranch.PLUS, 0.0, ends, OptimizerConfig(), 100,
-                                      *start)
+        run = optimizer._joint_newton(0.1, 0.5, SphBranch.PLUS, 0.0, ends,
+                                      OptimizerConfig(max_evals=100), *start)
         _point, c3, delta, nu, evals, converged, edge = run
         assert converged and not edge and evals <= 4
         assert (delta, nu) == (1.0, 1.0) and c3 != math.exp(3.0)
@@ -639,18 +639,23 @@ class TestDenseGrid:
 
 
 class TestOuterSearchMatchesReference:
-    """Brent's search over log c3 against the scan, widen-once rule and
-    golden section it replaced (``oracles.optimize_outer_scan``) on the
-    30 default shapes: the same convergence flags, and a bound never worse
-    by more than the inner solve's noise."""
+    """The projected Newton run in (log c3, delta, nu) against the scan,
+    widen-once rule and golden section it replaced
+    (``oracles.optimize_outer_scan``) on the 30 default shapes: the same
+    convergence flags, and a bound never worse by more than the inner
+    solve's noise."""
 
     NOISE = 1e-9
 
-    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
-    def test_default_shapes(self, upper):
-        # The scan's 25 log-spaced points were sized for this bracket; over
-        # the default one, from the c3 floor, they span about 17 decades.
-        cfg = OptimizerConfig(c3_bracket=(1e-4, 64.0))
+    OLD_BRACKET = OptimizerConfig(c3_bracket=(1e-4, 64.0))
+
+    @pytest.mark.parametrize("upper,cfg", [
+        pytest.param(True, OLD_BRACKET, id="upper"),
+        pytest.param(False, OLD_BRACKET, id="lower"),
+        pytest.param(True, OptimizerConfig(), id="upper-default-config"),
+        pytest.param(False, OptimizerConfig(), id="lower-default-config"),
+    ])
+    def test_default_shapes(self, upper, cfg):
         optimize = optimize_upper if upper else optimize_lower
         for alpha in DEFAULT_ALPHAS:
             for rho in DEFAULT_RHOS:
