@@ -23,7 +23,8 @@ The import also keeps off the stdlib's data-class module (with the
 ``importlib.resources`` and ``csv``: in a fresh ``python -I`` (Python
 3.11, 2-core x86-64) the import and the reference tables take about 3 ms
 instead of about 25 ms; under ``-I -S``, where the site module has not
-loaded ``collections``, ``enum``, ``functools`` and ``os``, about 10 ms.
+loaded ``collections``, ``functools`` and ``os``, about 8 ms.  The import
+loads no ``enum``: :class:`SphBranch` is a plain class with two members.
 The records are therefore immutable named tuples that validate in
 ``__new__``; they unpack, and compare equal to a tuple of equal fields.
 """

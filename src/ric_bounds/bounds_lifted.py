@@ -39,7 +39,6 @@ there instead (:func:`_scaled_excess`).
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 
@@ -50,13 +49,20 @@ _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 
-class SphBranch(enum.Enum):
+class SphBranch:
     """Root selector for the spherical term: PLUS for the upper-bound
     machinery (positive root), MINUS for the lower-bound machinery
-    (negative root)."""
+    (negative root).  The two members are its only instances, so a
+    branch is compared with ``is``."""
 
-    PLUS = "plus"
-    MINUS = "minus"
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"SphBranch.{self.name}"
+
+
+SphBranch.PLUS, SphBranch.MINUS = SphBranch("PLUS"), SphBranch("MINUS")
 
 
 class LiftedParams(namedtuple("LiftedParams", ("c3", "gamma", "nu", "delta"))):

@@ -146,7 +146,8 @@ def _cmd_bound(args, config: OptimizerConfig, out) -> int:
     result = _compute_bound(args.kind, shape, config)
 
     if args.format != "text":
-        row = _row_dict(shape.alpha, shape.rho, args.kind, result)
+        # The given --rho, not beta/alpha, which can differ in the last bit.
+        row = _row_dict(shape.alpha, shape.rho if args.rho is None else args.rho, args.kind, result)
         _write_rows(args, ("kind", "alpha", "beta", "rho", "format"), [row], out)
     else:
         out.write(f"kind: {args.kind}\n")

@@ -19,7 +19,9 @@ and splits each line on commas, so the import needs neither ``csv`` nor
 ``importlib.resources``, and a package imported from a zip archive
 cannot load it.  It asserts the field count, the quantity names, unique
 cells and the exact cell counts, so a corrupted asset fails fast.
-Entries are immutable named tuples.
+Entries are immutable named tuples.  One ``(table_id, alpha, rho, quantity)``
+index serves :func:`lookup` and each bound kind's reference: the first of
+its ``_KIND_SOURCES`` with the cell (upper-simple: table 1, then table 2).
 The BT quantities relate to the U/L constants of that construction via
 U = xi^2 - 1 and L = 1 - xi^2 (see :func:`bt_relation`).
 
@@ -155,22 +157,11 @@ _KIND_SOURCES = {
 }
 
 
-@lru_cache(maxsize=1)
-def _kind_index() -> dict:
-    """(kind, alpha, rho) -> reference bound, taken from the first source in
-    _KIND_SOURCES order that carries the cell.  Built on first use, so
-    loading the tables does not pay for it."""
-    index = _load()[1]
-    by_kind = {}
-    for kind, sources in _KIND_SOURCES.items():
-        for source in sources:
-            for (table_id, alpha, rho, quantity), value in index.items():
-                if (table_id, quantity) == source:
-                    by_kind.setdefault((kind, alpha, rho), value)
-    return by_kind
-
-
 def reference_for_kind(kind: str, alpha: float, rho: float) -> float | None:
-    """Reference bound for a (kind, alpha, rho) cell, or None when the
-    grids do not carry it."""
-    return _kind_index().get((kind, round(alpha, 6), round(rho, 6)))
+    """Reference bound for a (kind, alpha, rho) cell, or None where no source has it."""
+    index = _load()[1]
+    for table_id, quantity in _KIND_SOURCES.get(kind, ()):
+        value = index.get(_key(table_id, alpha, rho, quantity))
+        if value is not None:
+            return value
+    return None

@@ -92,7 +92,7 @@ class TestISph:
         assert upper_value_from_inner(c3, shape, inner) == pytest.approx(1.7129, abs=5e-3)
 
 
-    @pytest.mark.parametrize("branch", [SphBranch.PLUS, SphBranch.MINUS])
+    @pytest.mark.parametrize("branch", [SphBranch.PLUS, SphBranch.MINUS], ids=repr)
     @pytest.mark.parametrize("alpha", [0.1, 0.9])
     def test_slope_matches_extended_precision(self, branch, alpha):
         """The slope from i_sph_derivatives equals mp.diff of the 50-digit
@@ -120,7 +120,7 @@ class TestISph:
                 exact = i_sph_mp(c3, alpha, False)
                 assert abs(terms[0] - exact) <= 1e-14 * abs(exact), c3
 
-    @pytest.mark.parametrize("branch", [SphBranch.PLUS, SphBranch.MINUS])
+    @pytest.mark.parametrize("branch", [SphBranch.PLUS, SphBranch.MINUS], ids=repr)
     @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 1.0])
     def test_second_derivative_matches_extended_precision(self, branch, alpha):
         """I_sph'' from i_sph_derivatives equals the second mp.diff of the
@@ -378,7 +378,7 @@ class TestInnerObjective:
                     exact = mp.diff(lambda c: inner_k_mp(c, beta, p.delta, p.nu), mp.mpf(c3))
                     assert abs(report.slope - exact) <= 2.0 * eps / c3, (beta, c3)
             for alpha in (0.01, 0.1, 0.5, 1.0):
-                for branch in SphBranch:
+                for branch in (SphBranch.PLUS, SphBranch.MINUS):
                     for c3 in c3s:
                         exact = mp.diff(lambda c: i_sph_mp(c, alpha, branch is SphBranch.PLUS),
                                         mp.mpf(c3))

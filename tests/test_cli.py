@@ -176,6 +176,23 @@ class TestSweep:
         assert all(len(row) == 10 for row in swept) and any(row[8] for row in swept)
         assert swept == single
 
+    def test_json_rows_of_bound_carry_the_given_rho(self, capsys):
+        """At full precision each JSON row of a single bound is the swept
+        row, though beta/alpha differs from the given rho in the last bit at
+        6 of these cells, (0.1, 0.05) among them."""
+        alphas, rhos = ["0.1", "0.3", "0.7"], ["0.05", "0.1", "0.7", "0.9"]
+        _, out, _ = run_cli(["sweep", "--alphas", *alphas, "--rhos", *rhos, "--kinds",
+                             "upper-simple", "--format", "json"], capsys)
+        swept = json.loads(out)["rows"]
+        single = []
+        for alpha in alphas:
+            for rho in rhos:
+                _, out, _ = run_cli(["bound", "--kind", "upper-simple", "--alpha", alpha,
+                                     "--rho", rho, "--format", "json"], capsys)
+                single.append(json.loads(out)["rows"][0])
+        drifting = [row for row in swept if row["rho"] * row["alpha"] / row["alpha"] != row["rho"]]
+        assert len(drifting) == 6 and swept == single
+
     def test_json_and_csv_rows_share_one_field_list(self, capsys):
         """Over simple, lifted and failed cells, each JSON row holds
         CSV_HEADER's fields, inner_delta and, on a failed cell only, error;

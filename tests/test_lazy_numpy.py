@@ -63,9 +63,14 @@ def test_bounds_path_leaves_numpy_unloaded(statement):
     assert numpy_loaded_after(statement) is False
 
 
+IMPORT_AND_TABLES = (
+    "import ric_bounds; from ric_bounds import reference_tables; reference_tables.entries()"
+)
+
+
 @pytest.mark.parametrize("flags", [("-I",), ("-I", "-S")], ids=["site", "no-site"])
 @pytest.mark.parametrize("statement", [
-    "import ric_bounds; from ric_bounds import reference_tables; reference_tables.entries()",
+    IMPORT_AND_TABLES,
     f"from ric_bounds import cli; assert cli.main({BOUND!r}) == 0",
     f"from ric_bounds import cli; assert cli.main({SWEEP!r}) == 0",
 ], ids=["import-and-tables", "bound", "sweep"])
@@ -73,6 +78,17 @@ def test_bounds_path_keeps_heavy_stdlib_unloaded(statement, flags):
     _numpy, new_modules = probe(statement, flags)
     assert "ric_bounds" in new_modules
     assert [name for name in STDLIB_KEPT_OFF if name in new_modules] == []
+
+
+def test_import_and_tables_leave_enum_unloaded():
+    """Under -I -S nothing has loaded enum before the statement runs.  PROBE
+    imports json (and enum with it) first, so this check runs the statement
+    bare.  bound and sweep are not checked: argparse loads enum."""
+    code = f"import sys; sys.path.insert(0, {SRC!r}); {IMPORT_AND_TABLES}; print('enum' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_empirical_usage_error_leaves_numpy_unloaded():

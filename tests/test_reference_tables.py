@@ -34,27 +34,26 @@ class TestLoader:
         assert len(keys) == len(entries())
 
 
+@pytest.fixture
+def load_corrupted(tmp_path, monkeypatch):
+    """Loads a corrupted copy of the asset from a temporary package
+    directory, with the loader's cache cleared before and after."""
+    asset = Path(reference_tables.__file__).parent / "data" / "tables.csv"
+    lines = asset.read_text().splitlines()
+    (tmp_path / "data").mkdir()
+    monkeypatch.setattr(reference_tables, "__file__", str(tmp_path / "reference_tables.py"))
+
+    def load(corrupt):
+        (tmp_path / "data" / "tables.csv").write_text("\n".join(corrupt(lines)) + "\n")
+        return reference_tables._load()
+
+    reference_tables._load.cache_clear()
+    yield load
+    reference_tables._load.cache_clear()
+
+
 class TestLoaderRejections:
-    """A corrupted asset fails on load with an error naming the fault.  Each
-    case loads a corrupted copy of the asset from a temporary package
-    directory, with the loader's caches cleared before and after."""
-
-    @pytest.fixture
-    def load_corrupted(self, tmp_path, monkeypatch):
-        asset = Path(reference_tables.__file__).parent / "data" / "tables.csv"
-        lines = asset.read_text().splitlines()
-        (tmp_path / "data").mkdir()
-        monkeypatch.setattr(reference_tables, "__file__", str(tmp_path / "reference_tables.py"))
-
-        def load(corrupt):
-            (tmp_path / "data" / "tables.csv").write_text("\n".join(corrupt(lines)) + "\n")
-            return reference_tables._load()
-
-        for cache in (reference_tables._load, reference_tables._kind_index):
-            cache.cache_clear()
-        yield load
-        for cache in (reference_tables._load, reference_tables._kind_index):
-            cache.cache_clear()
+    """A corrupted asset fails on load with an error naming the fault."""
 
     @pytest.mark.parametrize("corrupt,message", [
         (lambda lines: [lines[0].replace("xi_uric_BT", "xi_bogus"), *lines[1:]],
@@ -167,3 +166,13 @@ class TestReferenceForKind:
     def test_equals_the_lookup_chain_off_the_cells(self, alpha, rho):
         for kind in (*BOUND_KINDS, "no-such-kind"):
             assert reference_for_kind(kind, alpha, rho) == lookup_chain(kind, alpha, rho)
+
+
+class TestReferenceForKindCache:
+    def test_reads_the_loaded_index_and_keeps_no_cache_of_its_own(self, load_corrupted):
+        load_corrupted(lambda lines: lines)
+        assert reference_for_kind("upper-simple", 0.5, 0.3) == 2.056
+        reference_tables._load.cache_clear()
+        load_corrupted(lambda lines: [line.replace("1,0.5,0.3,xi_uric_u,2.0560",
+                                                   "1,0.5,0.3,xi_uric_u,9.25") for line in lines])
+        assert reference_for_kind("upper-simple", 0.5, 0.3) == 9.25
